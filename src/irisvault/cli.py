@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--epsilon", type=int, default=None,
                         help="override the vault's stored match tolerance")
     verify.add_argument("--max-combinations", type=int, default=DEFAULT_MAX_COMBINATIONS,
-                        help="cap on candidate subsets tried before giving up")
+                        help="cap on decode attempts; one decode is made, so only "
+                             "0 or less gives up without decoding")
     _add_password_flags(verify)
     verify.set_defaults(func=cmd_verify)
 

@@ -63,7 +63,8 @@ class UnlockError(IrisVaultError):
 
 
 class AuthenticationFailed(UnlockError):
-    """Every candidate subset was tried and none passed the checksum."""
+    """The candidates did not decode to a polynomial that enough of them
+    agree with, or its payload failed the checksum."""
 
 
 class InsufficientCandidates(UnlockError):
@@ -71,4 +72,4 @@ class InsufficientCandidates(UnlockError):
 
 
 class SearchExhausted(UnlockError):
-    """The subset search hit its combination cap before succeeding."""
+    """The cap on decode attempts allowed none."""

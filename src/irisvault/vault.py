@@ -7,19 +7,22 @@ points among uniformly random chaff, scrambles the list, and xors a
 password-keyed keystream over the point words.
 
 Decoding reverses the path: decrypt, transform the query with the same
-password, match its lock units against the vault, and try 9-point subsets
-of the candidates (lexicographic over ascending abscissas) until one
-interpolates to a payload whose CRC checks out.  The CRC is the sole
-acceptance test, as in the underlying scheme; each failing subset has a
-2^-16 residual chance of a false accept, which callers must treat as an
-accepted design property rather than a bug.
+password, match its lock units against the vault, and decode the candidates
+as a Reed-Solomon code.  Genuine points are codeword symbols and matched
+chaff are errors, so one algebraic decode (Gao's algorithm) recovers the
+polynomial from m candidates with distinct abscissas as long as at most
+floor((m - 9) / 2) of them are chaff.  A decode is accepted only when the
+polynomial agrees with at least ceil((m + 9) / 2) candidates and its payload
+passes the CRC.  Within that radius the polynomial is unique, so the result
+depends on the candidate set alone, not on the order they are tried in.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
+from math import floor, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -33,12 +36,13 @@ from .errors import (
     WrongArityError,
 )
 from .fields import (
+    _GF_EXP,
+    _GF_LOG,
     GF_ORDER,
     SECRET_BYTES,
     PAYLOAD_BYTES,
     check_crc,
     append_crc,
-    gf_inv,
     gf_mul,
 )
 from .password import CombinedPassword, derive_blocks, mask_secret, seed_from_password
@@ -174,29 +178,149 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> SecretPolynomial:
     return SecretPolynomial(tuple(_interpolate_coeffs(xs, ys)))
 
 
-def _interpolate_coeffs(xs: list[int], ys: list[int]) -> list[int]:
+def _interpolate_coeffs(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     """Monomial coefficients (degree descending) through (xs, ys).
 
     Newton's divided differences, then expansion of the nested form; in
-    characteristic 2 every subtraction is xor.  Assumes distinct xs.
+    characteristic 2 every subtraction is xor.  Assumes distinct xs: a
+    repeated abscissa is not detected and yields a wrong polynomial.
     """
+    exp, log = _GF_EXP, _GF_LOG
     n = len(xs)
     dd = list(ys)
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
-            dd[i] = gf_mul(dd[i] ^ dd[i - 1], gf_inv(xs[i] ^ xs[i - level]))
+            diff = dd[i] ^ dd[i - 1]
+            # diff / (xs[i] - xs[i - level]); exp is doubled, so the index
+            # log[diff] - log[den] + 65535 stays inside it.
+            dd[i] = exp[log[diff] - log[xs[i] ^ xs[i - level]] + GF_ORDER - 1] if diff else 0
     # coeffs ascending while we expand ((dd[n-1])(x - x[n-2]) + dd[n-2])...
     coeffs = [0] * n
     coeffs[0] = dd[n - 1]
-    degree = 0
-    for i in range(n - 2, -1, -1):
-        root = xs[i]
-        degree += 1
-        for k in range(degree, 0, -1):
-            coeffs[k] = coeffs[k - 1] ^ gf_mul(coeffs[k], root)
-        coeffs[0] = gf_mul(coeffs[0], root) ^ dd[i]
+    for degree, i in enumerate(range(n - 2, -1, -1), start=1):
+        root = log[xs[i]] if xs[i] else -1
+        for k in range(degree, -1, -1):
+            c = coeffs[k]
+            times_root = exp[log[c] + root] if c and root >= 0 else 0
+            coeffs[k] = (coeffs[k - 1] if k else dd[i]) ^ times_root
     coeffs.reverse()
     return coeffs
+
+
+def _agrees(coeffs: Sequence[int], xs: Sequence[int], ys: Sequence[int], need: int) -> bool:
+    """True iff at least ``need`` of the points lie on the polynomial
+    (coefficients degree descending); stops as soon as the answer is known."""
+    exp, log = _GF_EXP, _GF_LOG
+    misses = len(xs) - need
+    for x, y in zip(xs, ys):
+        if need <= 0 or misses < 0:
+            break
+        acc = 0
+        if x:
+            lx = log[x]
+            for c in coeffs:
+                acc = (exp[log[acc] + lx] if acc else 0) ^ c
+        else:
+            acc = coeffs[-1]
+        if acc == y:
+            need -= 1
+        else:
+            misses -= 1
+    return need <= 0
+
+
+# Polynomials for the decoder: coefficient lists, degree ascending, with no
+# zero leading coefficient (the zero polynomial is []).
+
+def _poly_trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_add(p: list[int], q: list[int]) -> list[int]:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] ^= c
+    return _poly_trim(out)
+
+
+def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    if not p or not q:
+        return []
+    exp, log = _GF_EXP, _GF_LOG
+    out = [0] * (len(p) + len(q) - 1)
+    q_logs = [(j, log[c]) for j, c in enumerate(q) if c]
+    for i, a in enumerate(p):
+        if a:
+            la = log[a]
+            for j, lb in q_logs:
+                out[i + j] ^= exp[la + lb]
+    return out
+
+
+def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of ``num`` by the nonzero ``den``."""
+    exp, log = _GF_EXP, _GF_LOG
+    top = len(den) - 1
+    rem = list(num)
+    if len(rem) <= top:
+        return [], rem
+    lead = log[den[top]]
+    den_logs = [(j, log[c]) for j, c in enumerate(den[:top]) if c]
+    quot = [0] * (len(rem) - top)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + top]
+        if c:
+            lq = (log[c] - lead) % (GF_ORDER - 1)
+            quot[i] = exp[lq]
+            for j, lb in den_logs:
+                rem[i + j] ^= exp[lq + lb]
+    del rem[top:]
+    return quot, _poly_trim(rem)
+
+
+def _rs_decode(candidates: Sequence[tuple[int, int]]) -> list[int] | None:
+    """The degree-at-most-8 polynomial through at least ceil((m + 9) / 2) of
+    the m candidates, as nine coefficients (degree descending), or None.
+
+    Abscissas must be pairwise distinct and m at least nine.  Within that
+    agreement the polynomial is unique (two distinct ones share at most
+    eight points), so the answer does not depend on the candidates' order.
+    The interpolant of the first nine is tried first, which settles an
+    error-free candidate set without Euclid; otherwise Gao's algorithm
+    (2003) decodes up to floor((m - 9) / 2) errors: interpolate all m
+    points, run the extended Euclidean algorithm on prod(x - a_i) and that
+    interpolant until the remainder's degree drops below (m + 9) / 2, and
+    divide the remainder by its Bezout coefficient.
+    """
+    xs = [p[0] for p in candidates]
+    ys = [p[1] for p in candidates]
+    m = len(xs)
+    need = (m + N_COEFFS + 1) // 2
+    coeffs = _interpolate_coeffs(xs[:N_COEFFS], ys[:N_COEFFS])
+    if _agrees(coeffs, xs[N_COEFFS:], ys[N_COEFFS:], need - N_COEFFS):
+        return coeffs
+    r0: list[int] = [1]
+    for a in xs:
+        r0 = _poly_mul(r0, [a, 1])
+    r1 = _poly_trim(_interpolate_coeffs(xs, ys)[::-1])
+    v0: list[int] = []
+    v1 = [1]
+    while 2 * (len(r1) - 1) >= m + N_COEFFS:
+        quot, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, _poly_add(v0, _poly_mul(quot, v1))
+    f, rem = _poly_divmod(r1, v1)
+    if rem or len(f) > N_COEFFS:
+        return None
+    # r1 = v1 * f, and r1 = v1 * interpolant modulo prod(x - a_i), so f disagrees
+    # with a candidate only at a root of v1, and deg v1 <= (m - 9) / 2
+    # because the remainder before r1 had degree >= (m + 9) / 2: f has
+    # the agreement without a recount.
+    return [0] * (N_COEFFS - len(f)) + f[::-1]
 
 
 def generate_chaff(genuine_us: set[int], poly: SecretPolynomial, count: int,
@@ -299,7 +423,9 @@ def match_candidates(vault: Vault, query_units: Sequence[int],
     """Vault points whose decoded (x, y) lie within ``epsilon`` of a query
     unit's decoded point, sorted by ascending abscissa.
 
-    epsilon 0 degenerates to exact unit equality.
+    epsilon 0 degenerates to exact unit equality.  Otherwise each query
+    disc is cut into one y-interval per grid row it crosses, and a vault
+    point is tested against the intervals of its own row only.
     """
     if vault.encrypted:
         raise ValueError("vault must be decrypted before matching")
@@ -307,13 +433,23 @@ def match_candidates(vault: Vault, query_units: Sequence[int],
         wanted = set(query_units)
         hits = [p for p in vault.points if p.a in wanted]
     else:
-        eps_sq = epsilon * epsilon
-        decoded = [(u >> 8, u & 0xFF) for u in query_units]
+        # dx^2 + dy^2 <= epsilon^2 holds for integers iff it holds against
+        # the floor of epsilon^2.
+        limit = floor(epsilon * epsilon)
+        reach = isqrt(limit)
+        halves = [(dx, isqrt(limit - dx * dx)) for dx in range(-reach, reach + 1)]
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for u in query_units:
+            qx, qy = u >> 8, u & 0xFF
+            for dx, half in halves:
+                rows.setdefault(qx + dx, []).append((qy - half, qy + half))
         hits = []
         for p in vault.points:
-            x, y = p.a >> 8, p.a & 0xFF
-            if any((x - qx) ** 2 + (y - qy) ** 2 <= eps_sq for qx, qy in decoded):
-                hits.append(p)
+            spans = rows.get(p.a >> 8)
+            if spans:
+                y = p.a & 0xFF
+                if any(lo <= y <= hi for lo, hi in spans):
+                    hits.append(p)
     hits.sort(key=lambda p: p.a)
     return hits
 
@@ -324,13 +460,18 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword,
     """Recover the 16-byte secret from a query template and password.
 
     ``params`` defaults to the vault's own; passing an override lets a
-    caller widen epsilon without touching the stored header.  Candidate
-    subsets are tried in lexicographic order over ascending abscissas and
-    the first CRC-valid payload wins, so the search is deterministic.
+    caller widen epsilon without touching the stored header.  Candidates
+    whose abscissa occurs more than once are dropped (a correct key never
+    decrypts two points to one abscissa), and the rest are decoded once as
+    a Reed-Solomon code.  The secret is returned only when the decoded
+    polynomial agrees with at least ceil((m + 9) / 2) of the m candidates
+    and its payload passes the CRC, so up to floor((m - 9) / 2) matched
+    chaff points are tolerated.  ``max_combinations`` caps the decode
+    attempts; the decoder makes one, so only a cap of 0 or less stops it.
 
-    Raises InsufficientCandidates when fewer than nine vault points match,
-    SearchExhausted when the combination cap is hit, and
-    AuthenticationFailed when every subset fails the checksum.
+    Raises InsufficientCandidates when fewer than nine candidates remain,
+    SearchExhausted when the cap allows no attempt, and
+    AuthenticationFailed when the decode or the checksum fails.
     """
     if params is None:
         params = vault.params
@@ -342,16 +483,23 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword,
     # turning it into an input error.
     units = sorted({(p.x << 8) | p.y for p in ready})[: params.r]
     candidates = match_candidates(clear, units, params.epsilon)
+    abscissas = [p.a for p in candidates]
+    if len(set(abscissas)) < len(abscissas):
+        seen = Counter(abscissas)
+        candidates = [p for p in candidates if seen[p.a] == 1]
     if len(candidates) < N_COEFFS:
         raise InsufficientCandidates(
-            f"{len(candidates)} candidate points, need at least {N_COEFFS}"
+            f"{len(candidates)} candidate points with distinct abscissas, "
+            f"need at least {N_COEFFS}"
         )
-    for index, combo in enumerate(itertools.combinations(candidates, N_COEFFS)):
-        if index >= max_combinations:
-            raise SearchExhausted(f"gave up after {max_combinations} subsets")
-        xs = [p.a for p in combo]
-        ys = [p.b for p in combo]
-        payload = _coeffs_to_payload(_interpolate_coeffs(xs, ys))
-        if check_crc(payload):
-            return mask_secret(payload[:SECRET_BYTES], cp)
-    raise AuthenticationFailed("no candidate subset produced a valid checksum")
+    if max_combinations <= 0:
+        raise SearchExhausted(f"decode attempts capped at {max_combinations}")
+    coeffs = _rs_decode(candidates)
+    if coeffs is None:
+        raise AuthenticationFailed(
+            f"no polynomial agrees with enough of the {len(candidates)} candidate points"
+        )
+    payload = _coeffs_to_payload(coeffs)
+    if not check_crc(payload):
+        raise AuthenticationFailed("the decoded polynomial fails the checksum")
+    return mask_secret(payload[:SECRET_BYTES], cp)

@@ -54,3 +54,22 @@ def eval_poly_oracle(coeffs_high_first, u: int) -> int:
             term = gf_mul_oracle(term, u)
         acc ^= term
     return acc
+
+
+def match_candidates_oracle(points, query_units, epsilon):
+    """Brute-force disc scan: every vault point against every query unit,
+    kept when its decoded (x, y) lies within ``epsilon`` of one, or equals a
+    unit when epsilon is 0; sorted by ascending abscissa."""
+    eps_sq = epsilon * epsilon
+    decoded = [(u >> 8, u & 0xFF) for u in query_units]
+    hits = []
+    for p in points:
+        x, y = p[0] >> 8, p[0] & 0xFF
+        if epsilon == 0:
+            keep = p[0] in query_units
+        else:
+            keep = any((x - qx) ** 2 + (y - qy) ** 2 <= eps_sq for qx, qy in decoded)
+        if keep:
+            hits.append(p)
+    hits.sort(key=lambda p: p[0])
+    return hits

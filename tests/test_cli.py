@@ -104,6 +104,54 @@ class TestEnrollVerify:
         capsys.readouterr()
 
 
+class TestDecoderRegressions:
+    """Vaults at epsilon 10, where a query matches many chaff points."""
+
+    @staticmethod
+    def enrolled(tmp_path, capsys, seed):
+        template = tmp_path / f"t{seed}.txt"
+        vault = tmp_path / f"v{seed}.bin"
+        assert main(["synth", "--out", str(template), "--seed", str(seed),
+                     "--count", "20", "--min-dist", "4"]) == 0
+        assert main(["enroll", "--template", str(template), "--vault", str(vault),
+                     "--seed", str(seed), "--epsilon", "10",
+                     *PASSWORD_FLAGS["FUZZY"]]) == 0
+        secret = capsys.readouterr().out.strip()
+        return template, vault, secret
+
+    @staticmethod
+    def verify_as(template, vault, password, extra=()):
+        flags = PASSWORD_FLAGS["FUZZY"][:-1] + [password]
+        return main(["verify", "--template", str(template), "--vault", str(vault),
+                     *extra, *flags])
+
+    def test_duplicate_abscissas_exit_1(self, tmp_path, capsys):
+        # Under this wrong password two decrypted candidates share an
+        # abscissa; interpolating through both divided by zero (exit 2).
+        template, vault, _ = self.enrolled(tmp_path, capsys, 39)
+        assert self.verify_as(template, vault, 'FUZZ"',
+                              ["--max-combinations", "20000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "multiplicative inverse" not in captured.err
+
+    def test_wrong_password_at_default_cap_exits_1(self, tmp_path, capsys):
+        # A CRC-only search over two million subsets accepted this wrong
+        # password with a garbage secret.
+        template, vault, _ = self.enrolled(tmp_path, capsys, 3)
+        assert self.verify_as(template, vault, "FUZ^Y") == 1
+        assert capsys.readouterr().out == ""
+
+    def test_genuine_query_never_returns_another_secret(self, tmp_path, capsys):
+        # About as many chaff as genuine points match here; a CRC-only
+        # search returned e86e52aa... instead of the enrolled secret.
+        template, vault, secret = self.enrolled(tmp_path, capsys, 3)
+        assert secret == "fd3feb3c9250b7974a9b528b69636321"
+        rc = self.verify_as(template, vault, "FUZZY")
+        out = capsys.readouterr().out.strip()
+        assert (rc, out) in {(1, ""), (0, secret)}
+
+
 class TestTransform:
     def test_known_rows(self, tmp_path, capsys):
         template = tmp_path / "ref.txt"

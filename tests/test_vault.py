@@ -12,6 +12,7 @@ from irisvault.errors import (
     InsufficientPointsError,
     SearchExhausted,
     SpaceExhaustedError,
+    UnlockError,
     WrongArityError,
 )
 from irisvault.fields import append_crc
@@ -23,6 +24,7 @@ from irisvault.vault import (
     Vault,
     VaultParams,
     VaultPoint,
+    _rs_decode,
     build_vault,
     decode_secret,
     decrypt_vault,
@@ -36,10 +38,13 @@ from irisvault.vault import (
     open_vault,
 )
 
-from oracles import eval_poly_oracle
+from oracles import eval_poly_oracle, match_candidates_oracle
 from vectors import FUZZY, TOKEN
 
 coeff_lists = st.lists(st.integers(0, 0xFFFF), min_size=9, max_size=9)
+# Grid coordinates with the edges of the 256 x 256 grid drawn often.
+grid = st.one_of(st.sampled_from((0, 1, 254, 255)), st.integers(0, 255))
+grid_units = st.builds(lambda x, y: x << 8 | y, grid, grid)
 SECRET = bytes.fromhex("00112233445566778899aabbccddeeff")
 
 
@@ -236,6 +241,65 @@ class TestMatchCandidates:
         assert VaultPoint(12 << 8 | 100, 2) in hits
         assert match_candidates(clear, [12 << 8 | 101], epsilon=0) == []
 
+    @given(st.lists(grid_units, max_size=80), st.lists(grid_units, max_size=25),
+           st.sampled_from((0, 1, 2, 2.5, 8, 40, 255)))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_brute_force_scan(self, abscissas, query, epsilon):
+        clear = Vault(VaultParams(), [VaultPoint(a, i) for i, a in enumerate(abscissas)])
+        assert (match_candidates(clear, query, epsilon)
+                == match_candidates_oracle(clear.points, query, epsilon))
+
+
+def corrupt(points, where, deltas):
+    out = list(points)
+    for i, delta in zip(where, deltas):
+        out[i] = (out[i][0], out[i][1] ^ delta)
+    return out
+
+
+@st.composite
+def noisy_codewords(draw, extra_errors):
+    """A random degree-8 polynomial and its values at m distinct abscissas,
+    with floor((m - 9) / 2) + extra_errors of the ordinates changed; with
+    extra_errors 0, any number of them up to floor((m - 9) / 2)."""
+    coeffs = draw(coeff_lists)
+    m = draw(st.integers(9, 60))
+    xs = draw(st.lists(st.integers(0, 0xFFFF), min_size=m, max_size=m, unique=True))
+    radius = (m - 9) // 2
+    errors = radius + extra_errors if extra_errors else draw(st.integers(0, radius))
+    where = draw(st.lists(st.integers(0, m - 1), min_size=errors, max_size=errors,
+                          unique=True))
+    deltas = draw(st.lists(st.integers(1, 0xFFFF), min_size=errors, max_size=errors))
+    points = [(x, eval_poly_oracle(coeffs, x)) for x in xs]
+    return coeffs, corrupt(points, where, deltas)
+
+
+class TestRsDecode:
+    def test_errors_among_the_first_nine(self):
+        # The first nine candidates' interpolant is wrong, so the decode
+        # must go through Euclid: 20 points correct up to 5 errors.
+        coeffs = [7, 0, 0, 0, 0, 0, 0, 1, 0x1234]
+        points = [(x, eval_poly_oracle(coeffs, x)) for x in range(1, 21)]
+        assert _rs_decode(corrupt(points, range(5), [1] * 5)) == coeffs
+        assert _rs_decode(corrupt(points, range(6), [1] * 6)) != coeffs
+
+    @given(noisy_codewords(extra_errors=0), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_corrects_up_to_half_the_redundancy(self, case, rnd):
+        coeffs, points = case
+        rnd.shuffle(points)
+        assert _rs_decode(points) == coeffs
+
+    @given(noisy_codewords(extra_errors=1))
+    @settings(max_examples=100, deadline=None)
+    def test_beyond_the_radius_only_a_majority_polynomial(self, case):
+        coeffs, points = case
+        got = _rs_decode(points)
+        assert got != coeffs
+        if got is not None:
+            need = (len(points) + 10) // 2
+            assert sum(eval_poly_oracle(got, x) == y for x, y in points) >= need
+
 
 class TestOpenVault:
     def test_round_trip(self):
@@ -270,6 +334,43 @@ class TestOpenVault:
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
         with pytest.raises(AuthenticationFailed):
             open_vault(vault, query, cp)
+
+    @given(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=40, unique=True),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_decrypted_points_unlock_or_raise_unlock_error(self, pool, data):
+        # The zero password translates nothing, so query points are the
+        # drawn abscissas; ordinates are on the secret's polynomial or not,
+        # and abscissas may repeat.
+        cp = CombinedPassword(bytes(8))
+        poly = encode_secret(append_crc(mask_secret(SECRET, cp)))
+        records = data.draw(st.lists(
+            st.tuples(st.sampled_from(pool), st.one_of(st.none(), st.integers(0, 0xFFFF))),
+            max_size=60))
+        points = [VaultPoint(a, eval_poly(poly, a) if b is None else b) for a, b in records]
+        epsilon = data.draw(st.sampled_from((0, 1, 3)))
+        vault = Vault(VaultParams(r=64, c=0, d=0, epsilon=epsilon), points)
+        query = [MinutiaPoint(a >> 8, a & 0xFF) for a in data.draw(st.permutations(pool))]
+        try:
+            secret = open_vault(vault, query, cp)
+        except UnlockError:
+            return
+        assert isinstance(secret, bytes) and len(secret) == 16
+
+    def test_duplicate_abscissas_dropped(self):
+        # Eleven genuine points plus a second record at one of their
+        # abscissas: both copies go, and the ten left still decode.
+        cp = CombinedPassword(bytes(8))
+        poly = encode_secret(append_crc(mask_secret(SECRET, cp)))
+        abscissas = [(20 * i + 5) << 8 | (40 * i + 7) % 256 for i in range(11)]
+        points = [VaultPoint(a, eval_poly(poly, a)) for a in abscissas]
+        points.append(VaultPoint(abscissas[3], points[3].b ^ 1))
+        params = VaultParams(r=20, c=0, d=0, epsilon=0)
+        query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
+        assert open_vault(Vault(params, points), query, cp) == SECRET
+        # Without the first two points, dropping the pair leaves eight.
+        with pytest.raises(InsufficientCandidates):
+            open_vault(Vault(params, points[2:]), query, cp)
 
     def test_params_override_epsilon(self):
         template, vault = make_vault(14)
