@@ -24,7 +24,6 @@ from .errors import (
     SearchExhausted,
     SpaceExhaustedError,
     UnlockError,
-    WrongArityError,
     ZeroInverseError,
 )
 from .password import (
@@ -56,7 +55,6 @@ from .transform import (
     transform_template,
 )
 from .vault import (
-    SecretPolynomial,
     Vault,
     VaultParams,
     VaultPoint,
@@ -67,7 +65,7 @@ from .vault import (
     encrypt_vault,
     eval_poly,
     generate_chaff,
-    lagrange_interpolate,
+    interpolate,
     lock_units,
     match_candidates,
     open_vault,

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import security, templates
-from .errors import IrisVaultError, UnlockError
+from .errors import IrisVaultError, ParseError, UnlockError
 from .password import (
     CombinedPassword,
     EyeColor,
@@ -51,7 +51,11 @@ def _params_from_args(args: argparse.Namespace) -> VaultParams:
 
 
 def _read_template(path: str):
-    return templates.parse_template(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return templates.parse_template(text)
 
 
 def cmd_enroll(args: argparse.Namespace) -> int:

@@ -38,10 +38,6 @@ class DuplicateAbscissaError(IrisVaultError):
     """Interpolation points share an abscissa."""
 
 
-class WrongArityError(IrisVaultError):
-    """Interpolation received the wrong number of points."""
-
-
 class DomainError(IrisVaultError):
     """Arguments fall outside an operation's mathematical domain."""
 

@@ -47,13 +47,7 @@ def _log2_exact(value: int) -> float:
 
 def evaluations(r: int, c: int, n: int) -> float:
     """Expected reconstructions for a brute-force attacker: C(t,n+1)/C(r,n+1)."""
-    _check_domain(r, c, n)
-    total = binom(r + c, n + 1)
-    required = binom(r, n + 1)
-    try:
-        return total / required
-    except OverflowError:
-        return math.inf
+    return analyze(r, c, n).evaluations
 
 
 def min_entropy(r: int, c: int, n: int) -> float:
@@ -62,10 +56,7 @@ def min_entropy(r: int, c: int, n: int) -> float:
     -log2 of the probability that a uniformly chosen (n+1)-subset of the
     t = r + c vault points is all-genuine.
     """
-    _check_domain(r, c, n)
-    total = binom(r + c, n + 1)
-    required = binom(r, n + 1)
-    return _log2_exact(total) - _log2_exact(required)
+    return analyze(r, c, n).min_entropy_bits
 
 
 def hardened_range(r: int, c: int, n: int,
@@ -99,10 +90,16 @@ class EntropyReport:
 
 
 def analyze(r: int, c: int, n: int) -> EntropyReport:
-    """Assemble the full entropy report for a vault shape."""
+    """Assemble the full entropy report for a vault shape, computing each
+    binomial once."""
     _check_domain(r, c, n)
     total = binom(r + c, n + 1)
     required = binom(r, n + 1)
+    try:
+        ratio = total / required
+    except OverflowError:
+        ratio = math.inf
+    bits = _log2_exact(total) - _log2_exact(required)
     return EntropyReport(
         r=r,
         c=c,
@@ -110,7 +107,7 @@ def analyze(r: int, c: int, n: int) -> EntropyReport:
         n=n,
         total_combinations=total,
         required_combinations=required,
-        evaluations=evaluations(r, c, n),
-        min_entropy_bits=min_entropy(r, c, n),
-        hardened_range_bits=hardened_range(r, c, n),
+        evaluations=ratio,
+        min_entropy_bits=bits,
+        hardened_range_bits=(bits + GUESSING_ENTROPY_BITS[0], bits + GUESSING_ENTROPY_BITS[1]),
     )

@@ -2,8 +2,8 @@
 
 Templates travel as plain text, one "x y" decimal pair per line, with
 '#' comments and blank lines ignored; hand-editable and diff-friendly.
-Vaults travel as a small binary frame so the encrypted point region stays
-bit-exact:
+Vaults travel as a small binary frame so the keystream-xored point
+region stays bit-exact:
 
     magic "IFV1" | version 0x01 | n | r (BE16) | c (BE16) | d | epsilon |
     4 reserved zero bytes | (r + c) point records of (a BE16, b BE16)
@@ -84,13 +84,14 @@ def synth_template(seed: int, count: int, min_dist: float) -> Template:
 def write_vault(vault: Vault) -> bytes:
     """Serialize a vault to the IFV1 frame."""
     p = vault.params
-    head = _HEADER.pack(VAULT_MAGIC, VAULT_VERSION, p.n, p.r, p.c, p.d, p.epsilon)
+    head = _HEADER.pack(VAULT_MAGIC, VAULT_VERSION, POLY_DEGREE, p.r, p.c, p.d, p.epsilon)
     body = b"".join(_POINT.pack(pt.a, pt.b) for pt in vault.points)
     return head + body
 
 
 def read_vault(data: bytes) -> Vault:
-    """Parse an IFV1 frame; the point region is assumed password-encrypted."""
+    """Parse an IFV1 frame into a :class:`Vault`, which keeps the point
+    records as stored (keystream-xored)."""
     if len(data) < _HEADER.size:
         raise FormatError(f"stream of {len(data)} bytes is shorter than the header")
     magic, version, n, r, c, d, epsilon = _HEADER.unpack_from(data)
@@ -101,7 +102,7 @@ def read_vault(data: bytes) -> Vault:
     if n != POLY_DEGREE:
         raise FormatError(f"unsupported polynomial degree {n}")
     try:
-        params = VaultParams(r=r, c=c, n=n, d=d, epsilon=epsilon)
+        params = VaultParams(r=r, c=c, d=d, epsilon=epsilon)
     except DomainError as exc:
         raise FormatError(f"invalid parameters in header: {exc}") from None
     expected = _HEADER.size + _POINT.size * params.total
@@ -111,4 +112,4 @@ def read_vault(data: bytes) -> Vault:
             f"expected {expected - _HEADER.size} for {params.total} points"
         )
     points = [VaultPoint(a, b) for a, b in _POINT.iter_unpack(data[_HEADER.size:])]
-    return Vault(params, points, encrypted=True)
+    return Vault(params, points)

@@ -4,7 +4,10 @@ Encoding masks the secret with the combined password, appends a 16-bit CRC,
 splits the 144-bit payload into nine GF(2^16) coefficients of a degree-8
 polynomial, evaluates it at the template's lock units, buries the genuine
 points among uniformly random chaff, scrambles the list, and xors a
-password-keyed keystream over the point words.
+password-keyed keystream over the point words.  A :class:`Vault` only ever
+holds that stored, keystream-xored form; the clear points exist as a plain
+``list[VaultPoint]`` between :func:`decrypt_vault` and :func:`encrypt_vault`.
+A polynomial is a plain tuple of nine coefficients, highest degree first.
 
 Decoding reverses the path: decrypt, transform the query with the same
 password, match its lock units against the vault, and decode the candidates
@@ -31,9 +34,9 @@ from .errors import (
     DuplicateAbscissaError,
     InsufficientCandidates,
     InsufficientPointsError,
+    LengthError,
     SearchExhausted,
     SpaceExhaustedError,
-    WrongArityError,
 )
 from .fields import (
     _GF_EXP,
@@ -43,7 +46,6 @@ from .fields import (
     PAYLOAD_BYTES,
     check_crc,
     append_crc,
-    gf_mul,
 )
 from .password import CombinedPassword, derive_blocks, mask_secret, seed_from_password
 from .transform import MinutiaPoint, Template, prune_close, transform_template
@@ -59,20 +61,18 @@ DEFAULT_MAX_COMBINATIONS = 2_000_000
 
 @dataclass(frozen=True)
 class VaultParams:
-    """Vault shape: genuine count r, chaff count c, degree n, pruning
-    distance d, and the match tolerance epsilon (0 = exact lock units)."""
+    """Vault shape: genuine count r, chaff count c, pruning distance d, and
+    the match tolerance epsilon (0 = exact lock units).  The polynomial
+    degree is fixed at POLY_DEGREE."""
 
     r: int = DEFAULT_GENUINE
     c: int = DEFAULT_GENUINE * DEFAULT_CHAFF_FACTOR
-    n: int = POLY_DEGREE
     d: int = DEFAULT_PRUNE_DIST
     epsilon: int = 0
 
     def __post_init__(self) -> None:
-        if self.n != POLY_DEGREE:
-            raise DomainError(f"polynomial degree is fixed at {POLY_DEGREE}, got {self.n}")
-        if not self.n + 1 <= self.r <= 0xFFFF:
-            raise DomainError(f"genuine count r={self.r} must be in [{self.n + 1}, 65535]")
+        if not N_COEFFS <= self.r <= 0xFFFF:
+            raise DomainError(f"genuine count r={self.r} must be in [{N_COEFFS}, 65535]")
         if not 0 <= self.c <= 0xFFFF:
             raise DomainError(f"chaff count c={self.c} must be in [0, 65535]")
         if not 0 <= self.d <= 0xFF:
@@ -85,22 +85,6 @@ class VaultParams:
         return self.r + self.c
 
 
-@dataclass(frozen=True)
-class SecretPolynomial:
-    """Nine coefficients, highest degree first (C8 .. C0)."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != N_COEFFS:
-            raise WrongArityError(
-                f"expected {N_COEFFS} coefficients, got {len(self.coefficients)}"
-            )
-        for c in self.coefficients:
-            if not 0 <= c < GF_ORDER:
-                raise DomainError(f"coefficient {c} outside GF(2^16)")
-
-
 class VaultPoint(NamedTuple):
     """A vault element: abscissa and ordinate in GF(2^16)."""
 
@@ -110,12 +94,12 @@ class VaultPoint(NamedTuple):
 
 @dataclass
 class Vault:
-    """Point list plus its parameters.  While ``encrypted`` is set the
-    points hold keystream-xored words and carry no structure."""
+    """Parameters plus the points as stored: each point's words are xored
+    with the password-keyed keystream, so without the password they carry
+    no structure.  :func:`decrypt_vault` returns the clear points."""
 
     params: VaultParams
     points: list[VaultPoint]
-    encrypted: bool = False
 
 
 def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
@@ -128,101 +112,75 @@ def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
     return units[:r]
 
 
-def encode_secret(payload: bytes) -> SecretPolynomial:
-    """Split an 18-byte payload into nine big-endian 16-bit coefficients.
-
-    The first segment becomes the degree-8 coefficient.
-    """
+def encode_secret(payload: bytes) -> tuple[int, ...]:
+    """Split an 18-byte payload into nine big-endian 16-bit coefficients,
+    highest degree first: the first segment becomes the degree-8 one."""
     if len(payload) != PAYLOAD_BYTES:
-        raise WrongArityError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
-    coeffs = tuple(
+        raise LengthError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
+    return tuple(
         (payload[2 * k] << 8) | payload[2 * k + 1] for k in range(N_COEFFS)
     )
-    return SecretPolynomial(coeffs)
 
 
-def decode_secret(poly: SecretPolynomial) -> bytes:
+def decode_secret(coeffs: Sequence[int]) -> bytes:
     """Inverse of :func:`encode_secret`."""
-    return _coeffs_to_payload(poly.coefficients)
+    return b"".join(c.to_bytes(2, "big") for c in coeffs)
 
 
-def _coeffs_to_payload(coeffs: Sequence[int]) -> bytes:
-    out = bytearray()
-    for c in coeffs:
-        out.append(c >> 8)
-        out.append(c & 0xFF)
-    return bytes(out)
-
-
-def eval_poly(poly: SecretPolynomial, u: int) -> int:
-    """Evaluate the polynomial at ``u`` by Horner's rule."""
+def eval_poly(coeffs: Sequence[int], u: int) -> int:
+    """Evaluate the polynomial (coefficients highest degree first) at ``u``
+    by Horner's rule on the log/antilog tables."""
+    if not u:
+        return coeffs[-1]
+    exp, log = _GF_EXP, _GF_LOG
+    lu = log[u]
     acc = 0
-    for c in poly.coefficients:
-        acc = gf_mul(acc, u) ^ c
+    for c in coeffs:
+        acc = (exp[log[acc] + lu] if acc else 0) ^ c
     return acc
 
 
-def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> SecretPolynomial:
-    """The unique degree-at-most-8 polynomial through nine points.
-
-    Abscissas must be pairwise distinct; anything other than exactly nine
-    points is rejected because a degree-8 reconstruction needs no fewer
-    and the vault never supplies more per attempt.
-    """
-    if len(points) != N_COEFFS:
-        raise WrongArityError(f"need exactly {N_COEFFS} points, got {len(points)}")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    if len(set(xs)) != N_COEFFS:
-        raise DuplicateAbscissaError("interpolation abscissas must be pairwise distinct")
-    return SecretPolynomial(tuple(_interpolate_coeffs(xs, ys)))
-
-
-def _interpolate_coeffs(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
-    """Monomial coefficients (degree descending) through (xs, ys).
+def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The unique polynomial of degree below ``len(points)`` through the
+    points, as ``len(points)`` coefficients highest degree first: through
+    nine points, the form :func:`encode_secret` returns.
 
     Newton's divided differences, then expansion of the nested form; in
-    characteristic 2 every subtraction is xor.  Assumes distinct xs: a
-    repeated abscissa is not detected and yields a wrong polynomial.
+    characteristic 2 every subtraction is xor.  Abscissas must be pairwise
+    distinct.
     """
+    xs = [p[0] for p in points]
+    if len(set(xs)) != len(xs):
+        raise DuplicateAbscissaError("interpolation abscissas must be pairwise distinct")
     exp, log = _GF_EXP, _GF_LOG
     n = len(xs)
-    dd = list(ys)
+    dd = [p[1] for p in points]
     for level in range(1, n):
         for i in range(n - 1, level - 1, -1):
             diff = dd[i] ^ dd[i - 1]
             # diff / (xs[i] - xs[i - level]); exp is doubled, so the index
             # log[diff] - log[den] + 65535 stays inside it.
             dd[i] = exp[log[diff] - log[xs[i] ^ xs[i - level]] + GF_ORDER - 1] if diff else 0
-    # coeffs ascending while we expand ((dd[n-1])(x - x[n-2]) + dd[n-2])...
+    # Expand dd[0] + (x - xs[0])(dd[1] + (x - xs[1])(...)) from the inside
+    # out; coeffs is ascending and coeffs[:degree] holds the inner part.
     coeffs = [0] * n
-    coeffs[0] = dd[n - 1]
-    for degree, i in enumerate(range(n - 2, -1, -1), start=1):
+    for degree, i in enumerate(range(n - 1, -1, -1)):
         root = log[xs[i]] if xs[i] else -1
         for k in range(degree, -1, -1):
             c = coeffs[k]
             times_root = exp[log[c] + root] if c and root >= 0 else 0
             coeffs[k] = (coeffs[k - 1] if k else dd[i]) ^ times_root
-    coeffs.reverse()
-    return coeffs
+    return tuple(reversed(coeffs))
 
 
-def _agrees(coeffs: Sequence[int], xs: Sequence[int], ys: Sequence[int], need: int) -> bool:
-    """True iff at least ``need`` of the points lie on the polynomial
-    (coefficients degree descending); stops as soon as the answer is known."""
-    exp, log = _GF_EXP, _GF_LOG
-    misses = len(xs) - need
-    for x, y in zip(xs, ys):
+def _agrees(coeffs: Sequence[int], points: Sequence[tuple[int, int]], need: int) -> bool:
+    """True iff at least ``need`` of the points lie on the polynomial;
+    stops as soon as the answer is known."""
+    misses = len(points) - need
+    for x, y in points:
         if need <= 0 or misses < 0:
             break
-        acc = 0
-        if x:
-            lx = log[x]
-            for c in coeffs:
-                acc = (exp[log[acc] + lx] if acc else 0) ^ c
-        else:
-            acc = coeffs[-1]
-        if acc == y:
+        if eval_poly(coeffs, x) == y:
             need -= 1
         else:
             misses -= 1
@@ -282,7 +240,7 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return quot, _poly_trim(rem)
 
 
-def _rs_decode(candidates: Sequence[tuple[int, int]]) -> list[int] | None:
+def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
     """The degree-at-most-8 polynomial through at least ceil((m + 9) / 2) of
     the m candidates, as nine coefficients (degree descending), or None.
 
@@ -296,17 +254,15 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> list[int] | None:
     interpolant until the remainder's degree drops below (m + 9) / 2, and
     divide the remainder by its Bezout coefficient.
     """
-    xs = [p[0] for p in candidates]
-    ys = [p[1] for p in candidates]
-    m = len(xs)
+    m = len(candidates)
     need = (m + N_COEFFS + 1) // 2
-    coeffs = _interpolate_coeffs(xs[:N_COEFFS], ys[:N_COEFFS])
-    if _agrees(coeffs, xs[N_COEFFS:], ys[N_COEFFS:], need - N_COEFFS):
+    coeffs = interpolate(candidates[:N_COEFFS])
+    if _agrees(coeffs, candidates[N_COEFFS:], need - N_COEFFS):
         return coeffs
     r0: list[int] = [1]
-    for a in xs:
+    for a, _ in candidates:
         r0 = _poly_mul(r0, [a, 1])
-    r1 = _poly_trim(_interpolate_coeffs(xs, ys)[::-1])
+    r1 = _poly_trim(list(interpolate(candidates)[::-1]))
     v0: list[int] = []
     v1 = [1]
     while 2 * (len(r1) - 1) >= m + N_COEFFS:
@@ -320,10 +276,10 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> list[int] | None:
     # with a candidate only at a root of v1, and deg v1 <= (m - 9) / 2
     # because the remainder before r1 had degree >= (m + 9) / 2: f has
     # the agreement without a recount.
-    return [0] * (N_COEFFS - len(f)) + f[::-1]
+    return (0,) * (N_COEFFS - len(f)) + tuple(f[::-1])
 
 
-def generate_chaff(genuine_us: set[int], poly: SecretPolynomial, count: int,
+def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
                    rng: random.Random) -> list[VaultPoint]:
     """Uniform decoy points that avoid genuine abscissas and the polynomial.
 
@@ -377,18 +333,17 @@ def _cipher_points(points: Sequence[VaultPoint], seed: int) -> list[VaultPoint]:
     return [VaultPoint(p.a ^ next(words), p.b ^ next(words)) for p in points]
 
 
-def encrypt_vault(vault: Vault, cp: CombinedPassword) -> Vault:
-    if vault.encrypted:
-        raise ValueError("vault is already encrypted")
-    points = _cipher_points(vault.points, seed_from_password(cp))
-    return Vault(vault.params, points, encrypted=True)
+def encrypt_vault(params: VaultParams, points: Sequence[VaultPoint],
+                  cp: CombinedPassword) -> Vault:
+    """The stored vault for clear ``points``: the password-keyed keystream
+    xored over every point word.  Inverse of :func:`decrypt_vault`."""
+    return Vault(params, _cipher_points(points, seed_from_password(cp)))
 
 
-def decrypt_vault(vault: Vault, cp: CombinedPassword) -> Vault:
-    if not vault.encrypted:
-        raise ValueError("vault is already decrypted")
-    points = _cipher_points(vault.points, seed_from_password(cp))
-    return Vault(vault.params, points, encrypted=False)
+def decrypt_vault(vault: Vault, cp: CombinedPassword) -> list[VaultPoint]:
+    """The clear points of a stored vault under ``cp``.  A wrong password
+    yields points with no structure, not an error."""
+    return _cipher_points(vault.points, seed_from_password(cp))
 
 
 def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
@@ -414,24 +369,22 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
     points = [VaultPoint(u, eval_poly(poly, u)) for u in units]
     points += generate_chaff(set(units), poly, params.c, rng)
     rng.shuffle(points)
-    clear = Vault(params, points, encrypted=False)
-    return encrypt_vault(clear, cp)
+    return encrypt_vault(params, points, cp)
 
 
-def match_candidates(vault: Vault, query_units: Sequence[int],
+def match_candidates(points: Sequence[VaultPoint], query_units: Sequence[int],
                      epsilon: float) -> list[VaultPoint]:
-    """Vault points whose decoded (x, y) lie within ``epsilon`` of a query
-    unit's decoded point, sorted by ascending abscissa.
+    """The clear vault points (see :func:`decrypt_vault`) whose decoded
+    (x, y) lie within ``epsilon`` of a query unit's decoded point, sorted by
+    ascending abscissa.
 
     epsilon 0 degenerates to exact unit equality.  Otherwise each query
     disc is cut into one y-interval per grid row it crosses, and a vault
     point is tested against the intervals of its own row only.
     """
-    if vault.encrypted:
-        raise ValueError("vault must be decrypted before matching")
     if epsilon == 0:
         wanted = set(query_units)
-        hits = [p for p in vault.points if p.a in wanted]
+        hits = [p for p in points if p.a in wanted]
     else:
         # dx^2 + dy^2 <= epsilon^2 holds for integers iff it holds against
         # the floor of epsilon^2.
@@ -444,7 +397,7 @@ def match_candidates(vault: Vault, query_units: Sequence[int],
             for dx, half in halves:
                 rows.setdefault(qx + dx, []).append((qy - half, qy + half))
         hits = []
-        for p in vault.points:
+        for p in points:
             spans = rows.get(p.a >> 8)
             if spans:
                 y = p.a & 0xFF
@@ -475,7 +428,7 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword,
     """
     if params is None:
         params = vault.params
-    clear = decrypt_vault(vault, cp) if vault.encrypted else vault
+    clear = decrypt_vault(vault, cp)
     blocks = derive_blocks(cp)
     ready = prune_close(transform_template(query, blocks), params.d)
     # A degraded query may offer fewer than r distinct units; matching with
@@ -499,7 +452,7 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword,
         raise AuthenticationFailed(
             f"no polynomial agrees with enough of the {len(candidates)} candidate points"
         )
-    payload = _coeffs_to_payload(coeffs)
+    payload = decode_secret(coeffs)
     if not check_crc(payload):
         raise AuthenticationFailed("the decoded polynomial fails the checksum")
     return mask_secret(payload[:SECRET_BYTES], cp)

@@ -22,12 +22,7 @@ from irisvault.templates import (
     write_vault,
 )
 from irisvault.transform import MinutiaPoint
-from irisvault.vault import (
-    SecretPolynomial,
-    build_vault,
-    eval_poly,
-    lagrange_interpolate,
-)
+from irisvault.vault import build_vault, eval_poly, interpolate
 
 from vectors import (
     CORROBORATED_QUADRANTS,
@@ -292,10 +287,9 @@ def test_6_primitive_suites():
 
     for _ in range(1_000):
         coeffs = tuple(rng.randrange(65536) for _ in range(9))
-        poly = SecretPolynomial(coeffs)
         xs = rng.sample(range(65536), 9)
-        pts = [(x, eval_poly(poly, x)) for x in xs]
-        assert lagrange_interpolate(pts).coefficients == coeffs
+        pts = [(x, eval_poly(coeffs, x)) for x in xs]
+        assert interpolate(pts) == coeffs
 
     for _ in range(10_000):
         message = rng.randbytes(rng.randint(1, 48))

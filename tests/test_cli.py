@@ -1,14 +1,19 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from irisvault.cli import main
-from irisvault.templates import parse_template, write_template
+from irisvault.templates import parse_template, synth_template, write_template, write_vault
+from irisvault.vault import build_vault
 
-from vectors import KNOWN_BLOCKS, KNOWN_TRANSFORMS, REFERENCE_POINTS
+from vectors import FUZZY, KNOWN_BLOCKS, KNOWN_TRANSFORMS, REFERENCE_POINTS
+
+NOT_UTF8 = b"\xff\xfe 1 2\n"
 
 PASSWORD_FLAGS = {
     "FUZZY": ["--height", "155", "--eye-color", "brown", "--gender", "M",
@@ -95,6 +100,16 @@ class TestEnrollVerify:
         assert enroll(template, vault, ["--secret", "zz"]) == 2
         capsys.readouterr()
 
+    def test_non_utf8_template_exits_2(self, workspace, capsys):
+        template, vault = workspace
+        assert enroll(template, vault) == 0
+        capsys.readouterr()
+        template.write_bytes(NOT_UTF8)
+        assert verify(template, vault) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_custom_shape(self, workspace, capsys):
         template, vault = workspace
         assert enroll(template, vault, ["--r", "15"]) == 0
@@ -175,6 +190,15 @@ class TestTransform:
         assert rc == 2
         capsys.readouterr()
 
+    def test_non_utf8_template_exits_2(self, tmp_path, capsys):
+        template = tmp_path / "bad.txt"
+        template.write_bytes(NOT_UTF8)
+        rc = main(["transform", "--template", str(template), *PASSWORD_FLAGS["FUZZY"]])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestAnalyze:
     @staticmethod
@@ -244,3 +268,34 @@ def test_missing_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["enroll"])
     assert exc.value.code == 2
+
+
+def one_byte_changed(data):
+    return st.builds(lambda i, v: data[:i] + bytes([v]) + data[i + 1:],
+                     st.integers(0, len(data) - 1), st.integers(0, 255))
+
+
+ENROLLED_TEMPLATE = synth_template(5, 20, 4)
+ENROLLED_SECRET = bytes(range(16))
+TEMPLATE_TEXT = write_template(ENROLLED_TEMPLATE).encode()
+VAULT_BLOB = write_vault(build_vault(ENROLLED_TEMPLATE, ENROLLED_SECRET, FUZZY,
+                                     None, random.Random(5)))
+
+
+@given(st.one_of(st.binary(max_size=200), st.just(TEMPLATE_TEXT),
+                 one_byte_changed(TEMPLATE_TEXT)),
+       st.one_of(st.binary(max_size=200), st.just(VAULT_BLOB), one_byte_changed(VAULT_BLOB)))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_any_file_contents_exits_0_1_or_2(tmp_path, capsys, template_bytes, vault_bytes):
+    template = tmp_path / "query.txt"
+    vault = tmp_path / "vault.bin"
+    template.write_bytes(template_bytes)
+    vault.write_bytes(vault_bytes)
+    rc = verify(template, vault)
+    captured = capsys.readouterr()
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert captured.out == ENROLLED_SECRET.hex() + "\n"
+    else:
+        assert captured.out == "" and captured.err.startswith("error: ")

@@ -1,6 +1,8 @@
 """Template text format, synthetic generation, and vault frame tests."""
 
+import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,11 +16,24 @@ from irisvault.templates import (
     write_vault,
 )
 from irisvault.transform import MinutiaPoint
-from irisvault.vault import build_vault
+from irisvault.vault import Vault, build_vault, open_vault
 
-from vectors import FUZZY
+from vectors import FUZZY, TOKEN
 
 points = st.builds(MinutiaPoint, st.integers(0, 255), st.integers(0, 255))
+
+
+@st.composite
+def ifv1_like_frames(draw):
+    """Frames with the IFV1 magic and a body near the size r and c call
+    for, so that parsing gets past the magic to its later checks."""
+    r, c = draw(st.integers(0, 12)), draw(st.integers(0, 3))
+    head = struct.pack(">4sBBHHBB4s", b"IFV1", draw(st.sampled_from((1, 2))),
+                       draw(st.sampled_from((8, 7))), r, c,
+                       draw(st.integers(0, 255)), draw(st.integers(0, 255)),
+                       draw(st.one_of(st.just(bytes(4)), st.binary(min_size=4, max_size=4))))
+    size = max(0, 4 * (r + c) + draw(st.sampled_from((0, 0, -1, 1))))
+    return head + draw(st.binary(min_size=size, max_size=size))
 
 
 class TestTemplateText:
@@ -118,6 +133,28 @@ class TestVaultFrame:
         blob[5] = 7
         with pytest.raises(FormatError, match="degree"):
             read_vault(bytes(blob))
+
+    @pytest.mark.parametrize("seed, cp, digest", [
+        (0, FUZZY, "aa1a32df8d7ac70a21340ac0244d41c3ccdf00032e37e55d41d6dd5a3f48a957"),
+        (7, TOKEN, "affa51c958426d67578c295e21261aedd0d24ae82b4fe629100e4c718e0dbb19"),
+    ])
+    def test_golden_bytes(self, seed, cp, digest):
+        # Frozen IFV1 frames: a change to chaff, encoding or cipher that
+        # alters the bytes would also stop existing vault files opening.
+        template = synth_template(seed, 20, 4)
+        blob = write_vault(build_vault(template, bytes(16), cp, None, random.Random(seed)))
+        assert len(blob) == 896
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert open_vault(read_vault(blob), template, cp) == bytes(16)
+
+    @given(st.one_of(st.binary(max_size=64), ifv1_like_frames()))
+    def test_any_bytes_parse_or_raise_format_error(self, data):
+        try:
+            vault = read_vault(data)
+        except FormatError:
+            return
+        assert isinstance(vault, Vault)
+        assert read_vault(write_vault(vault)) == vault
 
     def test_bad_params(self):
         blob = bytearray(write_vault(self.make()))

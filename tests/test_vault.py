@@ -10,18 +10,16 @@ from irisvault.errors import (
     DuplicateAbscissaError,
     InsufficientCandidates,
     InsufficientPointsError,
+    LengthError,
     SearchExhausted,
     SpaceExhaustedError,
     UnlockError,
-    WrongArityError,
 )
 from irisvault.fields import append_crc
 from irisvault.password import CombinedPassword, mask_secret
 from irisvault.templates import synth_template
 from irisvault.transform import MinutiaPoint
 from irisvault.vault import (
-    SecretPolynomial,
-    Vault,
     VaultParams,
     VaultPoint,
     _rs_decode,
@@ -32,7 +30,7 @@ from irisvault.vault import (
     encrypt_vault,
     eval_poly,
     generate_chaff,
-    lagrange_interpolate,
+    interpolate,
     lock_units,
     match_candidates,
     open_vault,
@@ -41,7 +39,7 @@ from irisvault.vault import (
 from oracles import eval_poly_oracle, match_candidates_oracle
 from vectors import FUZZY, TOKEN
 
-coeff_lists = st.lists(st.integers(0, 0xFFFF), min_size=9, max_size=9)
+coeff_tuples = st.tuples(*[st.integers(0, 0xFFFF)] * 9)
 # Grid coordinates with the edges of the 256 x 256 grid drawn often.
 grid = st.one_of(st.sampled_from((0, 1, 254, 255)), st.integers(0, 255))
 grid_units = st.builds(lambda x, y: x << 8 | y, grid, grid)
@@ -70,15 +68,13 @@ class TestLockUnits:
 
 class TestSecretCodec:
     def test_zero_payload(self):
-        poly = encode_secret(bytes(18))
-        assert poly.coefficients == (0,) * 9
+        assert encode_secret(bytes(18)) == (0,) * 9
 
     def test_repeated_segment(self):
-        poly = encode_secret(bytes.fromhex("0001" * 9))
-        assert poly.coefficients == (1,) * 9
+        assert encode_secret(bytes.fromhex("0001" * 9)) == (1,) * 9
 
     def test_wrong_length(self):
-        with pytest.raises(WrongArityError):
+        with pytest.raises(LengthError):
             encode_secret(bytes(17))
 
     @given(st.binary(min_size=18, max_size=18))
@@ -88,49 +84,49 @@ class TestSecretCodec:
 
 class TestEvalPoly:
     def test_constant(self):
-        poly = SecretPolynomial((0,) * 8 + (0x1234,))
-        assert eval_poly(poly, 0xBEEF) == 0x1234
+        assert eval_poly((0,) * 8 + (0x1234,), 0xBEEF) == 0x1234
 
-    @given(coeff_lists)
+    @given(coeff_tuples)
     def test_at_zero_gives_constant_term(self, coeffs):
-        poly = SecretPolynomial(tuple(coeffs))
-        assert eval_poly(poly, 0) == coeffs[-1]
+        assert eval_poly(coeffs, 0) == coeffs[-1]
 
     def test_frozen_oracle_value(self):
         # Coefficients drawn once with seed 77; values frozen from the
         # term-by-term oracle.
         coeffs = (0x8165, 0xA6DD, 0x6506, 0x7B21, 0x62E1, 0x3AE9, 0x95AB, 0xF3D5, 0x79C2)
-        poly = SecretPolynomial(coeffs)
-        assert eval_poly(poly, 0x0002) == 0xD888
-        assert eval_poly(poly, 0xBEEF) == 0x13E9
+        assert eval_poly(coeffs, 0x0002) == 0xD888
+        assert eval_poly(coeffs, 0xBEEF) == 0x13E9
 
-    @given(coeff_lists, st.integers(0, 0xFFFF))
+    @given(coeff_tuples, st.integers(0, 0xFFFF))
     @settings(max_examples=50)
     def test_matches_oracle(self, coeffs, u):
-        poly = SecretPolynomial(tuple(coeffs))
-        assert eval_poly(poly, u) == eval_poly_oracle(coeffs, u)
+        assert eval_poly(coeffs, u) == eval_poly_oracle(coeffs, u)
 
 
 class TestLagrange:
     def test_constant_polynomial(self):
         pts = [(i, 0x0007) for i in range(9)]
-        assert lagrange_interpolate(pts).coefficients == (0,) * 8 + (0x0007,)
+        assert interpolate(pts) == (0,) * 8 + (0x0007,)
 
-    @given(coeff_lists, st.sets(st.integers(0, 0xFFFF), min_size=9, max_size=9))
+    @given(coeff_tuples, st.sets(st.integers(0, 0xFFFF), min_size=9, max_size=9))
     @settings(max_examples=200)
     def test_recovers_random_polynomial(self, coeffs, xs):
-        poly = SecretPolynomial(tuple(coeffs))
-        pts = [(x, eval_poly(poly, x)) for x in sorted(xs)]
-        assert lagrange_interpolate(pts) == poly
+        pts = [(x, eval_poly(coeffs, x)) for x in sorted(xs)]
+        assert interpolate(pts) == coeffs
+
+    @given(st.lists(st.integers(0, 0xFFFF), max_size=40, unique=True), st.data())
+    @settings(max_examples=100)
+    def test_any_point_count(self, xs, data):
+        # k points give the k coefficients of the polynomial of degree
+        # below k through them.
+        coeffs = tuple(data.draw(st.lists(st.integers(0, 0xFFFF),
+                                          min_size=len(xs), max_size=len(xs))))
+        assert interpolate([(x, eval_poly_oracle(coeffs, x)) for x in xs]) == coeffs
 
     def test_duplicate_abscissa(self):
         pts = [(0, 1), (0, 2)] + [(i, 0) for i in range(2, 9)]
         with pytest.raises(DuplicateAbscissaError):
-            lagrange_interpolate(pts)
-
-    def test_wrong_arity(self):
-        with pytest.raises(WrongArityError):
-            lagrange_interpolate([(i, 0) for i in range(8)])
+            interpolate(pts)
 
 
 class TestChaff:
@@ -167,7 +163,6 @@ class TestBuildVault:
     def test_shape_and_encryption_flag(self):
         _, vault = make_vault()
         assert len(vault.points) == 220
-        assert vault.encrypted
 
     def test_deterministic(self):
         _, a = make_vault(3)
@@ -177,11 +172,11 @@ class TestBuildVault:
     def test_distinct_abscissas_and_genuine_count(self):
         _, vault = make_vault(4)
         clear = decrypt_vault(vault, FUZZY)
-        abscissas = [p.a for p in clear.points]
+        abscissas = [p.a for p in clear]
         assert len(set(abscissas)) == 220
         payload = append_crc(mask_secret(SECRET, FUZZY))
         poly = encode_secret(payload)
-        on_curve = sum(1 for p in clear.points if eval_poly(poly, p.a) == p.b)
+        on_curve = sum(1 for p in clear if eval_poly(poly, p.a) == p.b)
         assert on_curve == 20
 
     def test_insufficient_template(self):
@@ -193,25 +188,18 @@ class TestBuildVault:
         _, vault = make_vault(15)
         clear = decrypt_vault(vault, FUZZY)
         poly = encode_secret(append_crc(mask_secret(SECRET, FUZZY)))
-        genuine = [p for p in clear.points if eval_poly(poly, p.a) == p.b]
+        genuine = [p for p in clear if eval_poly(poly, p.a) == p.b]
         rng = random.Random(15)
         for _ in range(20):
             subset = rng.sample(genuine, 9)
-            assert lagrange_interpolate(subset) == poly
+            assert interpolate(subset) == poly
 
     def test_cipher_round_trip_preserves_content(self):
         _, vault = make_vault(5)
         clear = decrypt_vault(vault, FUZZY)
-        assert encrypt_vault(clear, FUZZY) == vault
+        assert encrypt_vault(vault.params, clear, FUZZY) == vault
         # Ciphertext actually differs from plaintext.
-        assert sorted(vault.points) != sorted(clear.points)
-
-    def test_cipher_direction_checked(self):
-        _, vault = make_vault(6)
-        with pytest.raises(ValueError):
-            encrypt_vault(vault, FUZZY)
-        with pytest.raises(ValueError):
-            decrypt_vault(decrypt_vault(vault, FUZZY), FUZZY)
+        assert sorted(vault.points) != sorted(clear)
 
 
 class TestMatchCandidates:
@@ -220,7 +208,7 @@ class TestMatchCandidates:
         clear = decrypt_vault(vault, FUZZY)
         payload = append_crc(mask_secret(SECRET, FUZZY))
         poly = encode_secret(payload)
-        genuine = sorted(p for p in clear.points if eval_poly(poly, p.a) == p.b)
+        genuine = sorted(p for p in clear if eval_poly(poly, p.a) == p.b)
         hits = match_candidates(clear, [p.a for p in genuine], epsilon=0)
         assert hits == genuine
 
@@ -228,14 +216,8 @@ class TestMatchCandidates:
         _, vault = make_vault(8)
         assert match_candidates(decrypt_vault(vault, FUZZY), [], 0) == []
 
-    def test_requires_decrypted(self):
-        _, vault = make_vault(9)
-        with pytest.raises(ValueError):
-            match_candidates(vault, [0], 0)
-
     def test_perturbed_unit_within_epsilon(self):
-        clear = Vault(VaultParams(r=9, c=0, d=0, epsilon=2),
-                      [VaultPoint((10 + i) << 8 | 100, i) for i in range(9)])
+        clear = [VaultPoint((10 + i) << 8 | 100, i) for i in range(9)]
         # Query unit decodes to (12, 101): distance 1 from vault point (12, 100).
         hits = match_candidates(clear, [12 << 8 | 101], epsilon=2)
         assert VaultPoint(12 << 8 | 100, 2) in hits
@@ -245,9 +227,9 @@ class TestMatchCandidates:
            st.sampled_from((0, 1, 2, 2.5, 8, 40, 255)))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_brute_force_scan(self, abscissas, query, epsilon):
-        clear = Vault(VaultParams(), [VaultPoint(a, i) for i, a in enumerate(abscissas)])
+        clear = [VaultPoint(a, i) for i, a in enumerate(abscissas)]
         assert (match_candidates(clear, query, epsilon)
-                == match_candidates_oracle(clear.points, query, epsilon))
+                == match_candidates_oracle(clear, query, epsilon))
 
 
 def corrupt(points, where, deltas):
@@ -262,7 +244,7 @@ def noisy_codewords(draw, extra_errors):
     """A random degree-8 polynomial and its values at m distinct abscissas,
     with floor((m - 9) / 2) + extra_errors of the ordinates changed; with
     extra_errors 0, any number of them up to floor((m - 9) / 2)."""
-    coeffs = draw(coeff_lists)
+    coeffs = draw(coeff_tuples)
     m = draw(st.integers(9, 60))
     xs = draw(st.lists(st.integers(0, 0xFFFF), min_size=m, max_size=m, unique=True))
     radius = (m - 9) // 2
@@ -278,7 +260,7 @@ class TestRsDecode:
     def test_errors_among_the_first_nine(self):
         # The first nine candidates' interpolant is wrong, so the decode
         # must go through Euclid: 20 points correct up to 5 errors.
-        coeffs = [7, 0, 0, 0, 0, 0, 0, 1, 0x1234]
+        coeffs = (7, 0, 0, 0, 0, 0, 0, 1, 0x1234)
         points = [(x, eval_poly_oracle(coeffs, x)) for x in range(1, 21)]
         assert _rs_decode(corrupt(points, range(5), [1] * 5)) == coeffs
         assert _rs_decode(corrupt(points, range(6), [1] * 6)) != coeffs
@@ -330,7 +312,7 @@ class TestOpenVault:
         abscissas = [(20 * i + 5) << 8 | (40 * i + 7) % 256 for i in range(9)]
         points = [VaultPoint(a, eval_poly(poly, a)) for a in abscissas]
         points[4] = VaultPoint(points[4].a, points[4].b ^ 1)
-        vault = Vault(VaultParams(r=9, c=0, d=0, epsilon=0), points)
+        vault = encrypt_vault(VaultParams(r=9, c=0, d=0, epsilon=0), points, cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
         with pytest.raises(AuthenticationFailed):
             open_vault(vault, query, cp)
@@ -349,7 +331,7 @@ class TestOpenVault:
             max_size=60))
         points = [VaultPoint(a, eval_poly(poly, a) if b is None else b) for a, b in records]
         epsilon = data.draw(st.sampled_from((0, 1, 3)))
-        vault = Vault(VaultParams(r=64, c=0, d=0, epsilon=epsilon), points)
+        vault = encrypt_vault(VaultParams(r=64, c=0, d=0, epsilon=epsilon), points, cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in data.draw(st.permutations(pool))]
         try:
             secret = open_vault(vault, query, cp)
@@ -367,10 +349,10 @@ class TestOpenVault:
         points.append(VaultPoint(abscissas[3], points[3].b ^ 1))
         params = VaultParams(r=20, c=0, d=0, epsilon=0)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
-        assert open_vault(Vault(params, points), query, cp) == SECRET
+        assert open_vault(encrypt_vault(params, points, cp), query, cp) == SECRET
         # Without the first two points, dropping the pair leaves eight.
         with pytest.raises(InsufficientCandidates):
-            open_vault(Vault(params, points[2:]), query, cp)
+            open_vault(encrypt_vault(params, points[2:], cp), query, cp)
 
     def test_params_override_epsilon(self):
         template, vault = make_vault(14)
