@@ -8,24 +8,7 @@ secret and keys the stored vault.  ``security`` quantifies the result in
 min-entropy bits.
 """
 
-from .errors import (
-    AuthenticationFailed,
-    DomainError,
-    DuplicateAbscissaError,
-    EmptyInputError,
-    FormatError,
-    InsufficientCandidates,
-    InsufficientPointsError,
-    InvalidPasswordError,
-    IrisVaultError,
-    LengthError,
-    ParseError,
-    PlacementFailed,
-    SearchExhausted,
-    SpaceExhaustedError,
-    UnlockError,
-    ZeroInverseError,
-)
+from .errors import DomainError, FormatError, IrisVaultError, UnlockError
 from .password import (
     CombinedPassword,
     EyeColor,

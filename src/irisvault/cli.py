@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import security, templates
-from .errors import IrisVaultError, ParseError, UnlockError
+from .errors import DomainError, FormatError, IrisVaultError, UnlockError
 from .password import (
     CombinedPassword,
     EyeColor,
@@ -24,7 +24,8 @@ from .password import (
     derive_blocks,
 )
 from .transform import quadrant_of, transform_point
-from .vault import DEFAULT_MAX_COMBINATIONS, VaultParams, build_vault, open_vault
+from .vault import (DEFAULT_CHAFF_FACTOR, DEFAULT_GENUINE, DEFAULT_MAX_COMBINATIONS,
+                    DEFAULT_PRUNE_DIST, POLY_DEGREE, VaultParams, build_vault, open_vault)
 
 QUADRANT_NAMES = ("I", "II", "III", "IV")
 
@@ -46,7 +47,7 @@ def _password_from_args(args: argparse.Namespace) -> CombinedPassword:
 
 
 def _params_from_args(args: argparse.Namespace) -> VaultParams:
-    c = args.c if args.c is not None else 10 * args.r
+    c = args.c if args.c is not None else DEFAULT_CHAFF_FACTOR * args.r
     return VaultParams(r=args.r, c=c, d=args.d, epsilon=args.epsilon)
 
 
@@ -54,7 +55,7 @@ def _read_template(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     return templates.parse_template(text)
 
 
@@ -67,9 +68,9 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         try:
             secret = bytes.fromhex(args.secret)
         except ValueError:
-            raise IrisVaultError(f"--secret must be hex, got {args.secret!r}") from None
+            raise DomainError(f"--secret must be hex, got {args.secret!r}") from None
         if len(secret) != 16:
-            raise IrisVaultError(f"--secret must be 32 hex digits, got {len(secret) * 2}")
+            raise DomainError(f"--secret must be 32 hex digits, got {len(secret) * 2}")
     else:
         secret = rng.randbytes(16)
     vault = build_vault(points, secret, cp, params, rng)
@@ -141,10 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     enroll.add_argument("--secret", help="32 hex digits; generated from --seed if omitted")
     enroll.add_argument("--seed", type=int, default=None,
                         help="seed for chaff, scramble, and secret generation")
-    enroll.add_argument("--r", type=int, default=20, help="genuine point count")
+    enroll.add_argument("--r", type=int, default=DEFAULT_GENUINE, help="genuine point count")
     enroll.add_argument("--c", type=int, default=None,
-                        help="chaff point count (default 10*r)")
-    enroll.add_argument("--d", type=int, default=4, help="pruning distance in pixels")
+                        help=f"chaff point count (default {DEFAULT_CHAFF_FACTOR}*r)")
+    enroll.add_argument("--d", type=int, default=DEFAULT_PRUNE_DIST,
+                        help="pruning distance in pixels")
     enroll.add_argument("--epsilon", type=int, default=0,
                         help="match tolerance stored in the vault header")
     _add_password_flags(enroll)
@@ -168,9 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     transform.set_defaults(func=cmd_transform)
 
     analyze = sub.add_parser("analyze", help="report vault min-entropy")
-    analyze.add_argument("--r", type=int, default=20, help="genuine point count")
-    analyze.add_argument("--c", type=int, default=200, help="chaff point count")
-    analyze.add_argument("--n", type=int, default=8, help="polynomial degree")
+    analyze.add_argument("--r", type=int, default=DEFAULT_GENUINE, help="genuine point count")
+    analyze.add_argument("--c", type=int, default=DEFAULT_CHAFF_FACTOR * DEFAULT_GENUINE,
+                         help="chaff point count")
+    analyze.add_argument("--n", type=int, default=POLY_DEGREE, help="polynomial degree")
     analyze.set_defaults(func=cmd_analyze)
 
     synth = sub.add_parser("synth", help="generate a synthetic template")

@@ -1,8 +1,11 @@
 """Exception hierarchy for the irisvault package.
 
-``IrisVaultError`` is the root; the CLI maps ``UnlockError`` subclasses to
-exit code 1 (authentication failure) and everything else to exit code 2
-(bad input or parameters).
+Callers tell four cases apart.  ``IrisVaultError`` is the root;
+``DomainError`` marks an argument outside what an operation accepts,
+``FormatError`` a malformed template file or vault byte stream, and
+``UnlockError`` a vault decode that came up empty.  The message says which
+check failed.  The CLI maps ``UnlockError`` to exit code 1 (authentication
+failure) and every other error to exit code 2 (bad input or parameters).
 """
 
 
@@ -10,62 +13,18 @@ class IrisVaultError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class LengthError(IrisVaultError):
-    """A byte sequence does not have the required length."""
-
-
-class EmptyInputError(IrisVaultError):
-    """An operation that needs at least one byte received none."""
-
-
-class ZeroInverseError(IrisVaultError):
-    """The zero field element has no multiplicative inverse."""
-
-
-class InvalidPasswordError(IrisVaultError):
-    """A password component violates its structural constraints."""
-
-
-class InsufficientPointsError(IrisVaultError):
-    """A template yields fewer distinct lock units than requested."""
-
-
-class SpaceExhaustedError(IrisVaultError):
-    """The 16-bit abscissa space cannot host the requested point count."""
-
-
-class DuplicateAbscissaError(IrisVaultError):
-    """Interpolation points share an abscissa."""
-
-
 class DomainError(IrisVaultError):
-    """Arguments fall outside an operation's mathematical domain."""
-
-
-class ParseError(IrisVaultError):
-    """A template file is malformed; the message names the offending line."""
+    """An argument falls outside what the operation accepts: a wrong byte
+    length, an invalid password, too few template points, a full abscissa
+    space, repeated interpolation abscissas, an impossible point spacing."""
 
 
 class FormatError(IrisVaultError):
-    """A vault byte stream has a bad magic, version, or truncated body."""
-
-
-class PlacementFailed(IrisVaultError):
-    """Synthetic point placement exceeded its rejection-sampling cap."""
+    """A template file or vault byte stream is malformed; the message names
+    the offending line or header field."""
 
 
 class UnlockError(IrisVaultError):
-    """Base class for the ways a vault decode can come up empty."""
-
-
-class AuthenticationFailed(UnlockError):
-    """The candidates did not decode to a polynomial that enough of them
-    agree with, or its payload failed the checksum."""
-
-
-class InsufficientCandidates(UnlockError):
-    """Fewer candidate points matched than a decode needs."""
-
-
-class SearchExhausted(UnlockError):
-    """The cap on decode attempts allowed none."""
+    """A vault decode came up empty: too few candidates matched, the decode
+    cap allowed no attempt, or no polynomial passed the agreement and
+    checksum tests."""

@@ -22,7 +22,7 @@ the divisibility check the vault decoder relies on.
 
 from __future__ import annotations
 
-from .errors import EmptyInputError, LengthError, ZeroInverseError
+from .errors import DomainError
 
 GF_MODULUS = 0x1100B
 GF_ORDER = 1 << 16
@@ -66,7 +66,7 @@ def gf_mul(a: int, b: int) -> int:
 def gf_inv(a: int) -> int:
     """Multiplicative inverse of a nonzero element."""
     if a == 0:
-        raise ZeroInverseError("0 has no multiplicative inverse")
+        raise DomainError("0 has no multiplicative inverse")
     return _GF_EXP[GF_ORDER - 1 - _GF_LOG[a]]
 
 
@@ -89,7 +89,7 @@ _CRC_TABLE = _build_crc_table()
 def crc16(data: bytes) -> int:
     """MSB-first CRC over ``data``, bytes consumed in order."""
     if len(data) == 0:
-        raise EmptyInputError("crc16 needs at least one byte")
+        raise DomainError("crc16 needs at least one byte")
     reg = 0
     for byte in data:
         reg = ((reg << 8) & 0xFFFF) ^ _CRC_TABLE[(reg >> 8) ^ byte]
@@ -99,7 +99,7 @@ def crc16(data: bytes) -> int:
 def append_crc(secret: bytes) -> bytes:
     """Append the big-endian CRC of a 16-byte secret, yielding 18 bytes."""
     if len(secret) != SECRET_BYTES:
-        raise LengthError(f"secret must be {SECRET_BYTES} bytes, got {len(secret)}")
+        raise DomainError(f"secret must be {SECRET_BYTES} bytes, got {len(secret)}")
     check = crc16(secret)
     return secret + bytes((check >> 8, check & 0xFF))
 
@@ -111,5 +111,5 @@ def check_crc(payload: bytes) -> bool:
     consistent with the message, i.e. the payload is intact.
     """
     if len(payload) != PAYLOAD_BYTES:
-        raise LengthError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
+        raise DomainError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
     return crc16(payload) == 0

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidPasswordError, LengthError
+from .errors import DomainError
 
 USER_PASSWORD_LEN = 5
 COMBINED_LEN = 8
@@ -58,11 +58,11 @@ class SoftBiometrics:
 
     def __post_init__(self) -> None:
         if not 0 <= self.height_cm <= 255:
-            raise InvalidPasswordError(f"height {self.height_cm} does not fit in one byte")
+            raise DomainError(f"height {self.height_cm} does not fit in one byte")
         if not isinstance(self.eye_color, EyeColor):
-            raise InvalidPasswordError(f"unknown eye color {self.eye_color!r}")
+            raise DomainError(f"unknown eye color {self.eye_color!r}")
         if self.gender not in ("M", "F"):
-            raise InvalidPasswordError(f"gender must be 'M' or 'F', got {self.gender!r}")
+            raise DomainError(f"gender must be 'M' or 'F', got {self.gender!r}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,12 @@ class UserPassword:
 
     def __post_init__(self) -> None:
         if len(self.chars) != USER_PASSWORD_LEN:
-            raise InvalidPasswordError(
+            raise DomainError(
                 f"user password must be {USER_PASSWORD_LEN} characters, got {len(self.chars)}"
             )
         for ch in self.chars:
             if not 32 <= ord(ch) <= 126:
-                raise InvalidPasswordError(f"non-printable-ASCII character {ch!r} in password")
+                raise DomainError(f"non-printable-ASCII character {ch!r} in password")
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class CombinedPassword:
 
     def __post_init__(self) -> None:
         if len(self.data) != COMBINED_LEN:
-            raise InvalidPasswordError(
+            raise DomainError(
                 f"combined password must be {COMBINED_LEN} bytes, got {len(self.data)}"
             )
 
@@ -127,7 +127,7 @@ def mask_secret(secret: bytes, cp: CombinedPassword) -> bytes:
     Involutive: masking a masked secret restores the original.
     """
     if len(secret) != 16:
-        raise LengthError(f"secret must be 16 bytes, got {len(secret)}")
+        raise DomainError(f"secret must be 16 bytes, got {len(secret)}")
     pad = cp.data * 2
     return bytes(s ^ p for s, p in zip(secret, pad))
 

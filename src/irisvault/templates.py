@@ -18,14 +18,14 @@ from __future__ import annotations
 import random
 import struct
 
-from .errors import DomainError, FormatError, ParseError, PlacementFailed
+from .errors import DomainError, FormatError
 from .transform import GRID_SIZE, MinutiaPoint, Template
 from .vault import POLY_DEGREE, Vault, VaultParams, VaultPoint
 
 VAULT_MAGIC = b"IFV1"
 VAULT_VERSION = 1
 
-_HEADER = struct.Struct(">4sBBHHBB4x")
+_HEADER = struct.Struct(">4sBBHHBBI")
 _POINT = struct.Struct(">HH")
 
 PLACEMENT_TRIES = 10_000
@@ -40,13 +40,13 @@ def parse_template(text: str) -> Template:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected 'x y', got {raw!r}")
+            raise FormatError(f"line {lineno}: expected 'x y', got {raw!r}")
         try:
             x, y = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer coordinate in {raw!r}") from None
+            raise FormatError(f"line {lineno}: non-integer coordinate in {raw!r}") from None
         if not (0 <= x < GRID_SIZE and 0 <= y < GRID_SIZE):
-            raise ParseError(
+            raise FormatError(
                 f"line {lineno}: point ({x}, {y}) outside the {GRID_SIZE}x{GRID_SIZE} space"
             )
         points.append(MinutiaPoint(x, y))
@@ -61,7 +61,7 @@ def write_template(points: Template) -> str:
 def synth_template(seed: int, count: int, min_dist: float) -> Template:
     """``count`` seeded random points, pairwise at least ``min_dist`` apart.
 
-    Rejection-samples the grid; gives up with PlacementFailed once a single
+    Rejection-samples the grid; gives up with DomainError once a single
     point burns through 10,000 rejected draws, which in practice means the
     (count, min_dist) combination does not fit.
     """
@@ -75,7 +75,7 @@ def synth_template(seed: int, count: int, min_dist: float) -> Template:
                 points.append(cand)
                 break
         else:
-            raise PlacementFailed(
+            raise DomainError(
                 f"could not place point {len(points) + 1} of {count} at spacing {min_dist}"
             )
     return points
@@ -84,23 +84,26 @@ def synth_template(seed: int, count: int, min_dist: float) -> Template:
 def write_vault(vault: Vault) -> bytes:
     """Serialize a vault to the IFV1 frame."""
     p = vault.params
-    head = _HEADER.pack(VAULT_MAGIC, VAULT_VERSION, POLY_DEGREE, p.r, p.c, p.d, p.epsilon)
+    head = _HEADER.pack(VAULT_MAGIC, VAULT_VERSION, POLY_DEGREE, p.r, p.c, p.d, p.epsilon, 0)
     body = b"".join(_POINT.pack(pt.a, pt.b) for pt in vault.points)
     return head + body
 
 
 def read_vault(data: bytes) -> Vault:
     """Parse an IFV1 frame into a :class:`Vault`, which keeps the point
-    records as stored (keystream-xored)."""
+    records as stored (keystream-xored).  Nonzero reserved bytes are a
+    FormatError, so every accepted frame is what write_vault gives back."""
     if len(data) < _HEADER.size:
         raise FormatError(f"stream of {len(data)} bytes is shorter than the header")
-    magic, version, n, r, c, d, epsilon = _HEADER.unpack_from(data)
+    magic, version, n, r, c, d, epsilon, reserved = _HEADER.unpack_from(data)
     if magic != VAULT_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {VAULT_MAGIC!r}")
     if version != VAULT_VERSION:
         raise FormatError(f"unsupported version {version}")
     if n != POLY_DEGREE:
         raise FormatError(f"unsupported polynomial degree {n}")
+    if reserved:
+        raise FormatError(f"reserved header bytes must be zero, got {reserved:08x}")
     try:
         params = VaultParams(r=r, c=c, d=d, epsilon=epsilon)
     except DomainError as exc:

@@ -28,16 +28,7 @@ from dataclasses import dataclass
 from math import floor, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import (
-    AuthenticationFailed,
-    DomainError,
-    DuplicateAbscissaError,
-    InsufficientCandidates,
-    InsufficientPointsError,
-    LengthError,
-    SearchExhausted,
-    SpaceExhaustedError,
-)
+from .errors import DomainError, UnlockError
 from .fields import (
     _GF_EXP,
     _GF_LOG,
@@ -103,20 +94,30 @@ class Vault:
 
 
 def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
-    """First ``r`` of the sorted, deduplicated 16-bit units (x << 8) | y."""
+    """First ``r`` of the sorted, deduplicated 16-bit units (x << 8) | y;
+    DomainError when the points yield fewer."""
     units = sorted({(p.x << 8) | p.y for p in points})
     if len(units) < r:
-        raise InsufficientPointsError(
+        raise DomainError(
             f"insufficient points: template yields {len(units)} distinct lock units, need {r}"
         )
     return units[:r]
+
+
+def _template_units(template: Template, cp: CombinedPassword, params: VaultParams,
+                    enrol: bool) -> list[int]:
+    """First r lock units of the password-transformed template pruned at d,
+    for enrolment and verification alike.  Enrolment needs all r; a degraded
+    query matches with what it has, so its failure stays an UnlockError."""
+    ready = prune_close(transform_template(template, derive_blocks(cp)), params.d)
+    return lock_units(ready, params.r if enrol else min(params.r, len(set(ready))))
 
 
 def encode_secret(payload: bytes) -> tuple[int, ...]:
     """Split an 18-byte payload into nine big-endian 16-bit coefficients,
     highest degree first: the first segment becomes the degree-8 one."""
     if len(payload) != PAYLOAD_BYTES:
-        raise LengthError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
+        raise DomainError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
     return tuple(
         (payload[2 * k] << 8) | payload[2 * k + 1] for k in range(N_COEFFS)
     )
@@ -151,7 +152,7 @@ def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     """
     xs = [p[0] for p in points]
     if len(set(xs)) != len(xs):
-        raise DuplicateAbscissaError("interpolation abscissas must be pairwise distinct")
+        raise DomainError("interpolation abscissas must be pairwise distinct")
     exp, log = _GF_EXP, _GF_LOG
     n = len(xs)
     dd = [p[1] for p in points]
@@ -288,9 +289,7 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     chaff point can never masquerade as genuine.
     """
     if count + len(genuine_us) > GF_ORDER:
-        raise SpaceExhaustedError(
-            f"{count} chaff + {len(genuine_us)} genuine exceed {GF_ORDER} abscissas"
-        )
+        raise DomainError(f"{count} chaff + {len(genuine_us)} genuine exceed {GF_ORDER} abscissas")
     used = set(genuine_us)
     chaff: list[VaultPoint] = []
     while len(chaff) < count:
@@ -361,9 +360,7 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
         params = VaultParams()
     if rng is None:
         rng = random.Random()
-    blocks = derive_blocks(cp)
-    ready = prune_close(transform_template(template, blocks), params.d)
-    units = lock_units(ready, params.r)
+    units = _template_units(template, cp, params, enrol=True)
     payload = append_crc(mask_secret(secret, cp))
     poly = encode_secret(payload)
     points = [VaultPoint(u, eval_poly(poly, u)) for u in units]
@@ -422,37 +419,32 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword,
     chaff points are tolerated.  ``max_combinations`` caps the decode
     attempts; the decoder makes one, so only a cap of 0 or less stops it.
 
-    Raises InsufficientCandidates when fewer than nine candidates remain,
-    SearchExhausted when the cap allows no attempt, and
-    AuthenticationFailed when the decode or the checksum fails.
+    Raises UnlockError, with a message naming the case, when fewer than
+    nine candidates remain, when the cap allows no attempt, and when the
+    decode or the checksum fails.
     """
     if params is None:
         params = vault.params
     clear = decrypt_vault(vault, cp)
-    blocks = derive_blocks(cp)
-    ready = prune_close(transform_template(query, blocks), params.d)
-    # A degraded query may offer fewer than r distinct units; matching with
-    # what it has keeps the failure on the authentication path instead of
-    # turning it into an input error.
-    units = sorted({(p.x << 8) | p.y for p in ready})[: params.r]
-    candidates = match_candidates(clear, units, params.epsilon)
+    candidates = match_candidates(clear, _template_units(query, cp, params, enrol=False),
+                                  params.epsilon)
     abscissas = [p.a for p in candidates]
     if len(set(abscissas)) < len(abscissas):
         seen = Counter(abscissas)
         candidates = [p for p in candidates if seen[p.a] == 1]
     if len(candidates) < N_COEFFS:
-        raise InsufficientCandidates(
+        raise UnlockError(
             f"{len(candidates)} candidate points with distinct abscissas, "
             f"need at least {N_COEFFS}"
         )
     if max_combinations <= 0:
-        raise SearchExhausted(f"decode attempts capped at {max_combinations}")
+        raise UnlockError(f"decode attempts capped at {max_combinations}")
     coeffs = _rs_decode(candidates)
     if coeffs is None:
-        raise AuthenticationFailed(
+        raise UnlockError(
             f"no polynomial agrees with enough of the {len(candidates)} candidate points"
         )
     payload = decode_secret(coeffs)
     if not check_crc(payload):
-        raise AuthenticationFailed("the decoded polynomial fails the checksum")
+        raise UnlockError("the decoded polynomial fails the checksum")
     return mask_secret(payload[:SECRET_BYTES], cp)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from irisvault.cli import main
 from irisvault.templates import parse_template, synth_template, write_template, write_vault
@@ -299,3 +299,95 @@ def test_verify_any_file_contents_exits_0_1_or_2(tmp_path, capsys, template_byte
         assert captured.out == ENROLLED_SECRET.hex() + "\n"
     else:
         assert captured.out == "" and captured.err.startswith("error: ")
+
+
+# Flag pools for the argv property: each flag maps to (valid, invalid)
+# values.  A drawn flag is absent one time in twenty, invalid one in twenty
+# and valid otherwise.  File names resolve inside tmp_path; "nodir/..." names a
+# file in a directory that does not exist, "." the directory itself.
+# Counts stay at a few hundred so no example is slow.
+PASSWORD_POOL = {
+    "--height": (["155", "170"], ["300", "-1", "x"]),
+    "--eye-color": (["brown", "gray"], ["purple"]),
+    "--gender": (["M", "F"], ["X"]),
+    "--password": (["FUZZY", "TOKEN"], ["FUZ", "FU\tZY", "FUZZYY"]),
+}
+TEMPLATE_POOL = (["template.txt", "small.txt"], ["binary.txt", "missing.txt", "."])
+FLAG_POOLS = {
+    "enroll": {
+        "--template": TEMPLATE_POOL,
+        "--vault": (["new.bin"], ["nodir/new.bin", "."]),
+        "--secret": (["00112233445566778899aabbccddeeff"], ["zz", "00", ""]),
+        "--seed": (["0", "77", "-1"], ["x"]),
+        "--r": (["9", "15", "20"], ["200", "0", "-1", "x"]),
+        "--c": (["0", "10", "200"], ["-1", "70000", "x"]),
+        "--d": (["0", "4", "255"], ["256", "-1"]),
+        "--epsilon": (["0", "2", "255"], ["256", "-1"]),
+    },
+    "verify": {
+        "--template": TEMPLATE_POOL,
+        "--vault": (["vault.bin"], ["garbage.bin", "missing.bin", "."]),
+        "--epsilon": (["0", "2", "255"], ["256", "-1", "x"]),
+        "--max-combinations": (["1", "2000000"], ["0", "-5", "x"]),
+    },
+    "transform": {"--template": TEMPLATE_POOL},
+    "analyze": {
+        "--r": (["9", "20", "300"], ["5", "-1", "x"]),
+        "--c": (["0", "200", "300"], ["-1", "x"]),
+        "--n": (["0", "8"], ["300", "-1", "x"]),
+    },
+    "synth": {
+        "--out": (["out.txt"], ["nodir/out.txt", "."]),
+        "--seed": (["0", "3", "-1"], ["x"]),
+        "--count": (["0", "1", "20", "200"], ["-1", "x"]),
+        "--min-dist": (["0", "4", "4.5"], ["400", "-1", "nan", "x"]),
+    },
+}
+PATH_FLAGS = {"--template", "--vault", "--out"}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAG_POOLS)))
+    pools = dict(FLAG_POOLS[command])
+    argv = [command]
+    if command in ("enroll", "verify", "transform"):
+        name = draw(st.sampled_from(["FUZZY", "TOKEN", None]))
+        if name is None:
+            pools.update(PASSWORD_POOL)
+        else:
+            argv += PASSWORD_FLAGS[name]
+    for flag, (valid, invalid) in pools.items():
+        kind = draw(st.integers(0, 19))
+        if kind:
+            argv += [flag, draw(st.sampled_from(invalid if kind == 1 else valid))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--r"])))
+    return argv
+
+
+@given(cli_argvs())
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_any_argv_exits_0_1_or_2(tmp_path, capsys, argv):
+    (tmp_path / "template.txt").write_bytes(TEMPLATE_TEXT)
+    (tmp_path / "small.txt").write_text(write_template(synth_template(1, 5, 4)))
+    (tmp_path / "binary.txt").write_bytes(NOT_UTF8)
+    (tmp_path / "vault.bin").write_bytes(VAULT_BLOB)
+    (tmp_path / "garbage.bin").write_bytes(VAULT_BLOB[:100])
+    argv = [str(tmp_path / arg) if prev in PATH_FLAGS else arg
+            for prev, arg in zip([None, *argv], argv)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc, from_main = exc.code, False
+    else:
+        from_main = True
+    captured = capsys.readouterr()
+    event(f"{argv[0]} exit {rc}" + ("" if from_main else " from argparse"))
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if from_main and rc != 0:
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines()
+                    if line.startswith("error: ")]) == 1

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from irisvault.errors import InvalidPasswordError, LengthError
+from irisvault.errors import DomainError
 from irisvault.password import (
     ZERO_SEED_FALLBACK,
     CombinedPassword,
@@ -38,17 +38,17 @@ def test_combine_known_vectors():
 
 
 def test_invalid_inputs():
-    with pytest.raises(InvalidPasswordError):
+    with pytest.raises(DomainError, match="must be 5 characters, got 6"):
         UserPassword("LONGER")
-    with pytest.raises(InvalidPasswordError):
+    with pytest.raises(DomainError, match="must be 5 characters, got 3"):
         UserPassword("FUZ")
-    with pytest.raises(InvalidPasswordError):
+    with pytest.raises(DomainError, match="non-printable-ASCII"):
         UserPassword("FU\tZY")
-    with pytest.raises(InvalidPasswordError):
+    with pytest.raises(DomainError, match="does not fit in one byte"):
         SoftBiometrics(300, EyeColor.BROWN, "M")
-    with pytest.raises(InvalidPasswordError):
+    with pytest.raises(DomainError, match="gender must be"):
         SoftBiometrics(155, EyeColor.BROWN, "X")
-    with pytest.raises(InvalidPasswordError):
+    with pytest.raises(DomainError, match="combined password must be 8 bytes"):
         CombinedPassword(bytes(7))
 
 
@@ -98,7 +98,7 @@ class TestMaskSecret:
         assert mask_secret(bytes(16), FUZZY) == FUZZY.data * 2
 
     def test_length_checked(self):
-        with pytest.raises(LengthError):
+        with pytest.raises(DomainError, match="secret must be 16 bytes"):
             mask_secret(bytes(15), FUZZY)
 
     @given(st.binary(min_size=16, max_size=16), raw_passwords)
