@@ -20,13 +20,12 @@ import struct
 
 from .errors import DomainError, FormatError
 from .transform import GRID_SIZE, MinutiaPoint, Template
-from .vault import POLY_DEGREE, Vault, VaultParams, VaultPoint
+from .vault import POINT_RECORD, POLY_DEGREE, Vault, VaultParams
 
 VAULT_MAGIC = b"IFV1"
 VAULT_VERSION = 1
 
 _HEADER = struct.Struct(">4sBBHHBBI")
-_POINT = struct.Struct(">HH")
 
 PLACEMENT_TRIES = 10_000
 
@@ -82,17 +81,17 @@ def synth_template(seed: int, count: int, min_dist: float) -> Template:
 
 
 def write_vault(vault: Vault) -> bytes:
-    """Serialize a vault to the IFV1 frame."""
+    """Serialize a vault to the IFV1 frame: the header, then its records."""
     p = vault.params
     head = _HEADER.pack(VAULT_MAGIC, VAULT_VERSION, POLY_DEGREE, p.r, p.c, p.d, p.epsilon, 0)
-    body = b"".join(_POINT.pack(pt.a, pt.b) for pt in vault.points)
-    return head + body
+    return head + vault.records
 
 
 def read_vault(data: bytes) -> Vault:
-    """Parse an IFV1 frame into a :class:`Vault`, which keeps the point
-    records as stored (keystream-xored).  Nonzero reserved bytes are a
-    FormatError, so every accepted frame is what write_vault gives back."""
+    """Check an IFV1 frame and return it as a :class:`Vault` holding the
+    point region as stored, copied to ``bytes`` and not parsed.  Nonzero
+    reserved bytes are a FormatError, so every accepted frame is what
+    write_vault gives back."""
     if len(data) < _HEADER.size:
         raise FormatError(f"stream of {len(data)} bytes is shorter than the header")
     magic, version, n, r, c, d, epsilon, reserved = _HEADER.unpack_from(data)
@@ -108,11 +107,10 @@ def read_vault(data: bytes) -> Vault:
         params = VaultParams(r=r, c=c, d=d, epsilon=epsilon)
     except DomainError as exc:
         raise FormatError(f"invalid parameters in header: {exc}") from None
-    expected = _HEADER.size + _POINT.size * params.total
+    expected = _HEADER.size + POINT_RECORD.size * params.total
     if len(data) != expected:
         raise FormatError(
             f"point region holds {len(data) - _HEADER.size} bytes, "
             f"expected {expected - _HEADER.size} for {params.total} points"
         )
-    points = [VaultPoint(a, b) for a, b in _POINT.iter_unpack(data[_HEADER.size:])]
-    return Vault(params, points)
+    return Vault(params, bytes(data[_HEADER.size:]))

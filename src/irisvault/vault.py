@@ -3,10 +3,11 @@
 Encoding masks the secret with the combined password, appends a 16-bit CRC,
 splits the 144-bit payload into nine GF(2^16) coefficients of a degree-8
 polynomial, evaluates it at the template's lock units, buries the genuine
-points among uniformly random chaff, scrambles the list, and xors a
-password-keyed keystream over the point words.  A :class:`Vault` only ever
-holds that stored, keystream-xored form; the clear points exist as a plain
-``list[VaultPoint]`` between :func:`decrypt_vault` and :func:`encrypt_vault`.
+points among uniformly random chaff, scrambles the list, packs it into 4-byte
+records and xors a password-keyed keystream over them.  A :class:`Vault` only
+ever holds those stored bytes, the point region of an IFV1 file; the clear
+points exist as a plain ``list[VaultPoint]`` between :func:`decrypt_vault`
+and :func:`encrypt_vault`.
 A polynomial is a plain tuple of nine coefficients, highest degree first.
 
 Decoding reverses the path: decrypt, transform the query with the same
@@ -23,10 +24,12 @@ depends on the candidate set alone, not on the order they are tried in.
 from __future__ import annotations
 
 import random
+import struct
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import floor, isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, UnlockError
 from .fields import (
@@ -83,14 +86,18 @@ class VaultPoint(NamedTuple):
     b: int
 
 
+POINT_RECORD = struct.Struct(">HH")  # abscissa, ordinate: big-endian 16-bit words
+
+
 @dataclass
 class Vault:
-    """Parameters plus the points as stored: each point's words are xored
-    with the password-keyed keystream, so without the password they carry
-    no structure.  :func:`decrypt_vault` returns the clear points."""
+    """Parameters plus the points as stored: one :data:`POINT_RECORD` per
+    point, the IFV1 point region, with the password-keyed keystream xored
+    over it, so without the password the records carry no structure.
+    :func:`decrypt_vault` returns the clear points."""
 
     params: VaultParams
-    points: list[VaultPoint]
+    records: bytes
 
 
 def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
@@ -305,44 +312,39 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     return chaff
 
 
-def _keystream_words(seed: int, count: int) -> Iterable[int]:
-    """xorshift*-style 64-bit keystream, emitted as 16-bit big-endian words.
+def _cipher(records: bytes, seed: int) -> bytes:
+    """xor a xorshift*-style 64-bit keystream over ``records``, blocks
+    big-endian and the last one cut to length; xor is its own inverse.
 
     Reproducibility-grade whitening keyed by the password, not a vetted
     cipher; the state must be nonzero, which seed_from_password guarantees.
     """
     mask = (1 << 64) - 1
     s = seed & mask
-    emitted = 0
-    while emitted < count:
+    blocks = []
+    for _ in range(-(-len(records) // 8)):
         s ^= s >> 12
         s ^= (s << 25) & mask
         s ^= s >> 27
-        out = (s * 0x2545F4914F6CDD1D) & mask
-        for shift in (48, 32, 16, 0):
-            if emitted == count:
-                break
-            yield (out >> shift) & 0xFFFF
-            emitted += 1
-
-
-def _cipher_points(points: Sequence[VaultPoint], seed: int) -> list[VaultPoint]:
-    # One 64-bit block covers two 4-byte records; xor is its own inverse.
-    words = _keystream_words(seed, 2 * len(points))
-    return [VaultPoint(p.a ^ next(words), p.b ^ next(words)) for p in points]
+        blocks.append((s * 0x2545F4914F6CDD1D) & mask)
+    stream = struct.pack(f">{len(blocks)}Q", *blocks)[:len(records)]
+    xored = int.from_bytes(records, "big") ^ int.from_bytes(stream, "big")
+    return xored.to_bytes(len(records), "big")
 
 
 def encrypt_vault(params: VaultParams, points: Sequence[VaultPoint],
                   cp: CombinedPassword) -> Vault:
-    """The stored vault for clear ``points``: the password-keyed keystream
-    xored over every point word.  Inverse of :func:`decrypt_vault`."""
-    return Vault(params, _cipher_points(points, seed_from_password(cp)))
+    """The stored vault for clear ``points``: their packed records with the
+    password-keyed keystream xored over them.  Inverse of :func:`decrypt_vault`."""
+    records = struct.pack(f">{2 * len(points)}H", *chain.from_iterable(points))
+    return Vault(params, _cipher(records, seed_from_password(cp)))
 
 
 def decrypt_vault(vault: Vault, cp: CombinedPassword) -> list[VaultPoint]:
     """The clear points of a stored vault under ``cp``.  A wrong password
     yields points with no structure, not an error."""
-    return _cipher_points(vault.points, seed_from_password(cp))
+    clear = _cipher(vault.records, seed_from_password(cp))
+    return list(map(VaultPoint._make, POINT_RECORD.iter_unpack(clear)))
 
 
 def build_vault(template: Template, secret: bytes, cp: CombinedPassword,

@@ -301,6 +301,64 @@ def test_verify_any_file_contents_exits_0_1_or_2(tmp_path, capsys, template_byte
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def run_main_checked(argv, capsys):
+    """Run ``main(argv)`` and check the contract every input must keep: exit
+    0, 1 or 2 (argparse's own exit counted), no traceback, and on a failure
+    that ``main`` reports, an empty stdout and exactly one ``error:`` line.
+    Returns the exit code, whether ``main`` returned it, and stdout."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc, from_main = exc.code, False
+    else:
+        from_main = True
+    captured = capsys.readouterr()
+    event(f"{argv[0]} exit {rc}" + ("" if from_main else " from argparse"))
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if from_main and rc != 0:
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines()
+                    if line.startswith("error: ")]) == 1
+    return rc, from_main, captured.out
+
+
+# Where enroll is told to write its vault, relative to tmp_path: a file in
+# place, in a missing directory, under a regular file, in a read-only
+# directory (writable all the same for root), and a directory itself.
+VAULT_TARGETS = ("vault.bin", "nodir/vault.bin", "file.txt/vault.bin",
+                 "readonly/vault.bin", ".")
+HEX_SECRET = "00112233445566778899aabbccddeeff"
+
+
+# Half the examples keep the enrolled template, so that enroll often gets
+# past parsing to its secret and vault-path checks.
+@given(st.booleans(), st.one_of(st.binary(max_size=200), one_byte_changed(TEMPLATE_TEXT)),
+       st.sampled_from(["transform", "enroll"]),
+       st.sampled_from(VAULT_TARGETS),
+       st.one_of(st.none(), st.just(HEX_SECRET), st.text(max_size=40),
+                 st.binary(max_size=20).map(bytes.hex)))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_enroll_and_transform_any_input_exits_0_1_or_2(tmp_path, capsys, enrolled,
+                                                       template_bytes, command, target, secret):
+    template = tmp_path / "query.txt"
+    template.write_bytes(TEMPLATE_TEXT if enrolled else template_bytes)
+    (tmp_path / "file.txt").write_text("")
+    (tmp_path / "readonly").mkdir(mode=0o500, exist_ok=True)
+    argv = [command, "--template", str(template), *PASSWORD_FLAGS["FUZZY"]]
+    if command == "enroll":
+        argv += ["--vault", str(tmp_path / target), "--seed", "5"]
+        if secret is not None:
+            argv += ["--secret", secret]
+    rc, from_main, out = run_main_checked(argv, capsys)
+    if from_main and rc == 0 and command == "transform":
+        assert out.startswith("# quadrant")
+    elif from_main and rc == 0:
+        expect = random.Random(5).randbytes(16) if secret is None else bytes.fromhex(secret)
+        assert out == expect.hex() + "\n"
+
+
 # Flag pools for the argv property: each flag maps to (valid, invalid)
 # values.  A drawn flag is absent one time in twenty, invalid one in twenty
 # and valid otherwise.  File names resolve inside tmp_path; "nodir/..." names a
@@ -377,17 +435,4 @@ def test_main_any_argv_exits_0_1_or_2(tmp_path, capsys, argv):
     (tmp_path / "garbage.bin").write_bytes(VAULT_BLOB[:100])
     argv = [str(tmp_path / arg) if prev in PATH_FLAGS else arg
             for prev, arg in zip([None, *argv], argv)]
-    try:
-        rc = main(argv)
-    except SystemExit as exc:
-        rc, from_main = exc.code, False
-    else:
-        from_main = True
-    captured = capsys.readouterr()
-    event(f"{argv[0]} exit {rc}" + ("" if from_main else " from argparse"))
-    assert rc in (0, 1, 2)
-    assert "Traceback" not in captured.err
-    if from_main and rc != 0:
-        assert captured.out == ""
-        assert len([line for line in captured.err.splitlines()
-                    if line.startswith("error: ")]) == 1
+    run_main_checked(argv, capsys)

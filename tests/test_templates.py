@@ -16,7 +16,7 @@ from irisvault.templates import (
     write_vault,
 )
 from irisvault.transform import MinutiaPoint
-from irisvault.vault import Vault, build_vault, open_vault
+from irisvault.vault import Vault, VaultParams, build_vault, open_vault
 
 from vectors import FUZZY, TOKEN
 
@@ -134,18 +134,35 @@ class TestVaultFrame:
         with pytest.raises(FormatError, match="degree"):
             read_vault(bytes(blob))
 
-    @pytest.mark.parametrize("seed, cp, digest", [
-        (0, FUZZY, "aa1a32df8d7ac70a21340ac0244d41c3ccdf00032e37e55d41d6dd5a3f48a957"),
-        (7, TOKEN, "affa51c958426d67578c295e21261aedd0d24ae82b4fe629100e4c718e0dbb19"),
+    @pytest.mark.parametrize("seed, cp, digest, count, r", [
+        (0, FUZZY, "aa1a32df8d7ac70a21340ac0244d41c3ccdf00032e37e55d41d6dd5a3f48a957", 20, 20),
+        (7, TOKEN, "affa51c958426d67578c295e21261aedd0d24ae82b4fe629100e4c718e0dbb19", 20, 20),
+        # 221 records: the last keystream block is used only in half.
+        (3, FUZZY, "e54193a970032afdbd8314d46f1b64e78f33fe019d9fbcb15d7ab9cfb6e6cb32", 25, 21),
     ])
-    def test_golden_bytes(self, seed, cp, digest):
+    def test_golden_bytes(self, seed, cp, digest, count, r):
         # Frozen IFV1 frames: a change to chaff, encoding or cipher that
         # alters the bytes would also stop existing vault files opening.
-        template = synth_template(seed, 20, 4)
-        blob = write_vault(build_vault(template, bytes(16), cp, None, random.Random(seed)))
-        assert len(blob) == 896
+        template = synth_template(seed, count, 4)
+        params = VaultParams(r=r, c=200)
+        blob = write_vault(build_vault(template, bytes(16), cp, params, random.Random(seed)))
+        assert len(blob) == 16 + 4 * (r + 200)
         assert hashlib.sha256(blob).hexdigest() == digest
         assert open_vault(read_vault(blob), template, cp) == bytes(16)
+
+    def test_bytes_like_input(self):
+        blob = write_vault(self.make())
+        vault = read_vault(blob)
+        for data in (bytearray(blob), memoryview(blob)):
+            again = read_vault(data)
+            assert again == vault
+            assert type(again.records) is bytes
+        assert type(vault.records) is bytes
+        # The records do not alias the caller's buffer.
+        buffer = bytearray(blob)
+        held = read_vault(buffer)
+        buffer[16:] = bytes(len(buffer) - 16)
+        assert held == vault
 
     @given(st.one_of(st.binary(max_size=64), ifv1_like_frames()))
     # A frame that parses but for its reserved bytes: drawn frames reach one

@@ -1,9 +1,10 @@
 """Fuzzy vault encode/decode tests."""
 
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irisvault.errors import DomainError, UnlockError
 from irisvault.fields import append_crc
@@ -27,7 +28,7 @@ from irisvault.vault import (
     open_vault,
 )
 
-from oracles import eval_poly_oracle, match_candidates_oracle
+from oracles import cipher_points_oracle, eval_poly_oracle, match_candidates_oracle
 from vectors import FUZZY, TOKEN
 
 coeff_tuples = st.tuples(*[st.integers(0, 0xFFFF)] * 9)
@@ -151,9 +152,9 @@ def make_vault(seed=0, params=None, secret=SECRET, cp=FUZZY):
 
 
 class TestBuildVault:
-    def test_shape_and_encryption_flag(self):
+    def test_shape(self):
         _, vault = make_vault()
-        assert len(vault.points) == 220
+        assert len(vault.records) == 880
 
     def test_deterministic(self):
         _, a = make_vault(3)
@@ -190,7 +191,19 @@ class TestBuildVault:
         clear = decrypt_vault(vault, FUZZY)
         assert encrypt_vault(vault.params, clear, FUZZY) == vault
         # Ciphertext actually differs from plaintext.
-        assert sorted(vault.points) != sorted(clear)
+        assert vault.records != b"".join(struct.pack(">HH", *p) for p in clear)
+
+    @given(st.integers(1, (1 << 64) - 1),
+           st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)), max_size=300))
+    # An odd count uses only the first half of the last keystream block.
+    @example(1, [(0, 0)] * 221)
+    def test_cipher_matches_word_oracle(self, seed, pairs):
+        cp = CombinedPassword(seed.to_bytes(8, "big"))
+        points = [VaultPoint(a, b) for a, b in pairs]
+        vault = encrypt_vault(VaultParams(), points, cp)
+        expect = cipher_points_oracle(pairs, seed)
+        assert vault.records == b"".join(struct.pack(">HH", *p) for p in expect)
+        assert decrypt_vault(vault, cp) == points
 
 
 class TestMatchCandidates:
