@@ -40,7 +40,6 @@ from .transform import (
 from .vault import (
     Vault,
     VaultParams,
-    VaultPoint,
     build_vault,
     decrypt_vault,
     encode_secret,

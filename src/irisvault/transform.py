@@ -66,6 +66,10 @@ def prune_close(points: Sequence[MinutiaPoint], min_dist: float) -> Template:
     threshold = min_dist * min_dist
     kept: Template = []
     for p in points:
-        if all((p.x - q.x) ** 2 + (p.y - q.y) ** 2 >= threshold for q in kept):
+        x, y = p
+        for qx, qy in kept:
+            if (x - qx) * (x - qx) + (y - qy) * (y - qy) < threshold:
+                break
+        else:
             kept.append(p)
     return kept

@@ -6,8 +6,9 @@ polynomial, evaluates it at the template's lock units, buries the genuine
 points among uniformly random chaff, scrambles the list, packs it into 4-byte
 records and xors a password-keyed keystream over them.  A :class:`Vault` only
 ever holds those stored bytes, the point region of an IFV1 file; the clear
-points exist as a plain ``list[VaultPoint]`` between :func:`decrypt_vault`
-and :func:`encrypt_vault`.
+points exist as a plain ``list[tuple[int, int]]`` of ``(a, b)`` pairs,
+abscissa then ordinate, between :func:`decrypt_vault` and
+:func:`encrypt_vault`.
 A polynomial is a plain tuple of nine coefficients, highest degree first.
 
 Decoding reverses the path: decrypt, transform the query with the same
@@ -29,7 +30,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import floor, isqrt
-from typing import NamedTuple, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 from .errors import DomainError, UnlockError
 from .fields import (
@@ -79,13 +81,6 @@ class VaultParams:
         return self.r + self.c
 
 
-class VaultPoint(NamedTuple):
-    """A vault element: abscissa and ordinate in GF(2^16)."""
-
-    a: int
-    b: int
-
-
 POINT_RECORD = struct.Struct(">HH")  # abscissa, ordinate: big-endian 16-bit words
 
 
@@ -94,7 +89,7 @@ class Vault:
     """Parameters plus the points as stored: one :data:`POINT_RECORD` per
     point, the IFV1 point region, with the password-keyed keystream xored
     over it, so without the password the records carry no structure.
-    :func:`decrypt_vault` returns the clear points."""
+    :func:`decrypt_vault` returns the clear points as ``(a, b)`` tuples."""
 
     params: VaultParams
     records: bytes
@@ -288,8 +283,9 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
 
 
 def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
-                   rng: random.Random) -> list[VaultPoint]:
-    """Uniform decoy points that avoid genuine abscissas and the polynomial.
+                   rng: random.Random) -> list[tuple[int, int]]:
+    """Uniform decoy ``(a, b)`` points that avoid genuine abscissas and the
+    polynomial.
 
     Abscissas are drawn from the full 16-bit space with rejection on
     collision; ordinates are redrawn until they miss the polynomial, so a
@@ -298,7 +294,7 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     if count + len(genuine_us) > GF_ORDER:
         raise DomainError(f"{count} chaff + {len(genuine_us)} genuine exceed {GF_ORDER} abscissas")
     used = set(genuine_us)
-    chaff: list[VaultPoint] = []
+    chaff: list[tuple[int, int]] = []
     while len(chaff) < count:
         a = rng.randrange(GF_ORDER)
         if a in used:
@@ -308,7 +304,7 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
         b = rng.randrange(GF_ORDER)
         while b == on_curve:
             b = rng.randrange(GF_ORDER)
-        chaff.append(VaultPoint(a, b))
+        chaff.append((a, b))
     return chaff
 
 
@@ -332,19 +328,20 @@ def _cipher(records: bytes, seed: int) -> bytes:
     return xored.to_bytes(len(records), "big")
 
 
-def encrypt_vault(params: VaultParams, points: Sequence[VaultPoint],
+def encrypt_vault(params: VaultParams, points: Sequence[tuple[int, int]],
                   cp: CombinedPassword) -> Vault:
-    """The stored vault for clear ``points``: their packed records with the
-    password-keyed keystream xored over them.  Inverse of :func:`decrypt_vault`."""
+    """The stored vault for clear ``(a, b)`` points: their packed records with
+    the password-keyed keystream xored over them.  Inverse of :func:`decrypt_vault`."""
     records = struct.pack(f">{2 * len(points)}H", *chain.from_iterable(points))
     return Vault(params, _cipher(records, seed_from_password(cp)))
 
 
-def decrypt_vault(vault: Vault, cp: CombinedPassword) -> list[VaultPoint]:
-    """The clear points of a stored vault under ``cp``.  A wrong password
-    yields points with no structure, not an error."""
+def decrypt_vault(vault: Vault, cp: CombinedPassword) -> list[tuple[int, int]]:
+    """The clear points of a stored vault under ``cp``, one plain ``(a, b)``
+    tuple per record.  A wrong password yields points with no structure,
+    not an error."""
     clear = _cipher(vault.records, seed_from_password(cp))
-    return list(map(VaultPoint._make, POINT_RECORD.iter_unpack(clear)))
+    return list(POINT_RECORD.iter_unpack(clear))
 
 
 def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
@@ -365,44 +362,44 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
     units = _template_units(template, cp, params, enrol=True)
     payload = append_crc(mask_secret(secret, cp))
     poly = encode_secret(payload)
-    points = [VaultPoint(u, eval_poly(poly, u)) for u in units]
+    points = [(u, eval_poly(poly, u)) for u in units]
     points += generate_chaff(set(units), poly, params.c, rng)
     rng.shuffle(points)
     return encrypt_vault(params, points, cp)
 
 
-def match_candidates(points: Sequence[VaultPoint], query_units: Sequence[int],
-                     epsilon: float) -> list[VaultPoint]:
-    """The clear vault points (see :func:`decrypt_vault`) whose decoded
-    (x, y) lie within ``epsilon`` of a query unit's decoded point, sorted by
-    ascending abscissa.
+def match_candidates(points: Sequence[tuple[int, int]], query_units: Sequence[int],
+                     epsilon: float) -> list[tuple[int, int]]:
+    """The clear ``(a, b)`` vault points (see :func:`decrypt_vault`) whose
+    decoded (x, y) = (a >> 8, a & 0xFF) lie within ``epsilon`` of a query
+    unit's decoded point, sorted stably by ascending abscissa alone.
 
-    epsilon 0 degenerates to exact unit equality.  Otherwise each query
-    disc is cut into one y-interval per grid row it crosses, and a vault
-    point is tested against the intervals of its own row only.
+    epsilon 0 degenerates to exact unit equality.  Otherwise every grid row
+    a query disc crosses gets one int bitmask, bit y set iff (row, y) lies
+    in some disc, and a vault point is kept iff its bit in its row is set.
     """
     if epsilon == 0:
         wanted = set(query_units)
-        hits = [p for p in points if p.a in wanted]
+        hits = [p for p in points if p[0] in wanted]
     else:
         # dx^2 + dy^2 <= epsilon^2 holds for integers iff it holds against
         # the floor of epsilon^2.
         limit = floor(epsilon * epsilon)
         reach = isqrt(limit)
-        halves = [(dx, isqrt(limit - dx * dx)) for dx in range(-reach, reach + 1)]
-        rows: dict[int, list[tuple[int, int]]] = {}
+        # A disc covers y in [qy - half, qy + half] of row qx + dx: the run of
+        # 2 * half + 1 one bits shifted to qy - half, cut at bit 0 below.
+        spans = []
+        for dx in range(-reach, reach + 1):
+            half = isqrt(limit - dx * dx)
+            spans.append((dx, half, (1 << (2 * half + 1)) - 1))
+        rows: dict[int, int] = {}
         for u in query_units:
             qx, qy = u >> 8, u & 0xFF
-            for dx, half in halves:
-                rows.setdefault(qx + dx, []).append((qy - half, qy + half))
-        hits = []
-        for p in points:
-            spans = rows.get(p.a >> 8)
-            if spans:
-                y = p.a & 0xFF
-                if any(lo <= y <= hi for lo, hi in spans):
-                    hits.append(p)
-    hits.sort(key=lambda p: p.a)
+            for dx, half, span in spans:
+                lo = qy - half
+                rows[qx + dx] = rows.get(qx + dx, 0) | (span << lo if lo >= 0 else span >> -lo)
+        hits = [p for p in points if (rows.get(p[0] >> 8, 0) >> (p[0] & 0xFF)) & 1]
+    hits.sort(key=itemgetter(0))
     return hits
 
 
@@ -430,10 +427,10 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword,
     clear = decrypt_vault(vault, cp)
     candidates = match_candidates(clear, _template_units(query, cp, params, enrol=False),
                                   params.epsilon)
-    abscissas = [p.a for p in candidates]
+    abscissas = [p[0] for p in candidates]
     if len(set(abscissas)) < len(abscissas):
         seen = Counter(abscissas)
-        candidates = [p for p in candidates if seen[p.a] == 1]
+        candidates = [p for p in candidates if seen[p[0]] == 1]
     if len(candidates) < N_COEFFS:
         raise UnlockError(
             f"{len(candidates)} candidate points with distinct abscissas, "

@@ -75,6 +75,17 @@ def match_candidates_oracle(points, query_units, epsilon):
     return hits
 
 
+def prune_close_oracle(points, min_dist):
+    """Greedy pruning in list order: a point is kept iff its squared distance
+    to every point kept before it is at least ``min_dist`` squared."""
+    threshold = min_dist * min_dist
+    kept = []
+    for p in points:
+        if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 >= threshold for q in kept):
+            kept.append(p)
+    return kept
+
+
 def _keystream_words(seed: int, count: int):
     """xorshift*-style 64-bit keystream, emitted as 16-bit big-endian words.
 

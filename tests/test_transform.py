@@ -1,6 +1,6 @@
 """Quadrant translation and pruning tests."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irisvault.password import CombinedPassword, TranslationBlock, derive_blocks
 from irisvault.transform import (
@@ -11,10 +11,12 @@ from irisvault.transform import (
     transform_template,
 )
 
+from oracles import prune_close_oracle
 from vectors import FUZZY, KNOWN_TRANSFORMS, PASSWORDS, REFERENCE_POINTS
 
 points = st.builds(MinutiaPoint, st.integers(0, 255), st.integers(0, 255))
 blocks = st.builds(TranslationBlock, st.integers(0, 127), st.integers(0, 511))
+crowded = st.one_of(st.integers(0, 11), st.integers(0, 255))
 
 
 def test_quadrant_of_reference_points():
@@ -105,3 +107,12 @@ class TestPruneClose:
         kept = prune_close(template, min_dist)
         it = iter(template)
         assert all(p in it for p in kept)
+
+    # Coordinates fall in 0..11 half the time, so duplicates and close pairs
+    # are common.
+    @given(st.lists(st.builds(MinutiaPoint, crowded, crowded), max_size=60),
+           st.sampled_from((0, 1, 2.5, 4, 6, 300)))
+    @settings(max_examples=300)
+    @example([MinutiaPoint(7, 7)] * 3 + [MinutiaPoint(9, 7), MinutiaPoint(7, 7)], 2.5)
+    def test_agrees_with_all_based_oracle(self, template, min_dist):
+        assert prune_close(template, min_dist) == prune_close_oracle(template, min_dist)

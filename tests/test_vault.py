@@ -13,7 +13,6 @@ from irisvault.templates import synth_template
 from irisvault.transform import MinutiaPoint
 from irisvault.vault import (
     VaultParams,
-    VaultPoint,
     _rs_decode,
     build_vault,
     decode_secret,
@@ -34,7 +33,14 @@ from vectors import FUZZY, TOKEN
 coeff_tuples = st.tuples(*[st.integers(0, 0xFFFF)] * 9)
 # Grid coordinates with the edges of the 256 x 256 grid drawn often.
 grid = st.one_of(st.sampled_from((0, 1, 254, 255)), st.integers(0, 255))
-grid_units = st.builds(lambda x, y: x << 8 | y, grid, grid)
+
+
+def unit(x: int, y: int) -> int:
+    """The lock unit of grid point (x, y)."""
+    return x << 8 | y
+
+
+grid_units = st.builds(unit, grid, grid)
 SECRET = bytes.fromhex("00112233445566778899aabbccddeeff")
 
 
@@ -131,13 +137,13 @@ class TestChaff:
         genuine = set(range(0, 2000, 100))
         chaff = generate_chaff(genuine, poly, 200, random.Random(5))
         assert len(chaff) == 200
-        abscissas = {p.a for p in chaff} | genuine
+        abscissas = {a for a, _ in chaff} | genuine
         assert len(abscissas) == 220
 
     def test_never_on_curve(self):
         poly = encode_secret(append_crc(SECRET))
         chaff = generate_chaff(set(), poly, 500, random.Random(6))
-        assert all(p.b != eval_poly(poly, p.a) for p in chaff)
+        assert all(b != eval_poly(poly, a) for a, b in chaff)
 
     def test_space_exhausted(self):
         poly = encode_secret(bytes(18))
@@ -164,11 +170,11 @@ class TestBuildVault:
     def test_distinct_abscissas_and_genuine_count(self):
         _, vault = make_vault(4)
         clear = decrypt_vault(vault, FUZZY)
-        abscissas = [p.a for p in clear]
+        abscissas = [a for a, _ in clear]
         assert len(set(abscissas)) == 220
         payload = append_crc(mask_secret(SECRET, FUZZY))
         poly = encode_secret(payload)
-        on_curve = sum(1 for p in clear if eval_poly(poly, p.a) == p.b)
+        on_curve = sum(1 for a, b in clear if eval_poly(poly, a) == b)
         assert on_curve == 20
 
     def test_insufficient_template(self):
@@ -180,7 +186,7 @@ class TestBuildVault:
         _, vault = make_vault(15)
         clear = decrypt_vault(vault, FUZZY)
         poly = encode_secret(append_crc(mask_secret(SECRET, FUZZY)))
-        genuine = [p for p in clear if eval_poly(poly, p.a) == p.b]
+        genuine = [(a, b) for a, b in clear if eval_poly(poly, a) == b]
         rng = random.Random(15)
         for _ in range(20):
             subset = rng.sample(genuine, 9)
@@ -199,11 +205,10 @@ class TestBuildVault:
     @example(1, [(0, 0)] * 221)
     def test_cipher_matches_word_oracle(self, seed, pairs):
         cp = CombinedPassword(seed.to_bytes(8, "big"))
-        points = [VaultPoint(a, b) for a, b in pairs]
-        vault = encrypt_vault(VaultParams(), points, cp)
+        vault = encrypt_vault(VaultParams(), pairs, cp)
         expect = cipher_points_oracle(pairs, seed)
         assert vault.records == b"".join(struct.pack(">HH", *p) for p in expect)
-        assert decrypt_vault(vault, cp) == points
+        assert decrypt_vault(vault, cp) == pairs
 
 
 class TestMatchCandidates:
@@ -212,8 +217,8 @@ class TestMatchCandidates:
         clear = decrypt_vault(vault, FUZZY)
         payload = append_crc(mask_secret(SECRET, FUZZY))
         poly = encode_secret(payload)
-        genuine = sorted(p for p in clear if eval_poly(poly, p.a) == p.b)
-        hits = match_candidates(clear, [p.a for p in genuine], epsilon=0)
+        genuine = sorted((a, b) for a, b in clear if eval_poly(poly, a) == b)
+        hits = match_candidates(clear, [a for a, _ in genuine], epsilon=0)
         assert hits == genuine
 
     def test_empty_query(self):
@@ -221,17 +226,33 @@ class TestMatchCandidates:
         assert match_candidates(decrypt_vault(vault, FUZZY), [], 0) == []
 
     def test_perturbed_unit_within_epsilon(self):
-        clear = [VaultPoint((10 + i) << 8 | 100, i) for i in range(9)]
+        clear = [((10 + i) << 8 | 100, i) for i in range(9)]
         # Query unit decodes to (12, 101): distance 1 from vault point (12, 100).
         hits = match_candidates(clear, [12 << 8 | 101], epsilon=2)
-        assert VaultPoint(12 << 8 | 100, 2) in hits
+        assert (12 << 8 | 100, 2) in hits
         assert match_candidates(clear, [12 << 8 | 101], epsilon=0) == []
 
     @given(st.lists(grid_units, max_size=80), st.lists(grid_units, max_size=25),
            st.sampled_from((0, 1, 2, 2.5, 8, 40, 255)))
     @settings(max_examples=300, deadline=None)
+    # Discs that cross y = 0 and y = 255 (row masks shifted right, and past bit 255).
+    @example([unit(100, y) for y in (0, 1, 11, 12, 243, 244, 255)]
+             + [unit(99, 0), unit(101, 255), unit(101, 0), unit(99, 255)],
+             [unit(100, 3), unit(100, 252)], 8)
+    # Discs that cross rows x < 0 and x > 255, which must not wrap round the grid.
+    @example([unit(x, y) for x in (0, 1, 2, 3, 252, 253, 254, 255) for y in (50, 200)],
+             [unit(0, 50), unit(255, 200)], 2.5)
+    # Epsilon 255 from (0, 0) reaches (255, 0) and (180, 180) but not (180, 181).
+    @example([unit(x, y) for x, y in ((255, 0), (0, 255), (180, 180), (180, 181),
+                                      (255, 255), (128, 128), (0, 0))],
+             [unit(0, 0)], 255)
+    # One abscissa twice, ordinates descending: only a stable sort on the
+    # abscissa alone keeps the list order.
+    @example([unit(5, 5), unit(5, 5), unit(3, 3)], [unit(5, 5), unit(3, 3)], 0)
+    @example([unit(5, 5), unit(5, 5), unit(3, 3)], [unit(5, 6), unit(3, 3)], 1)
     def test_agrees_with_brute_force_scan(self, abscissas, query, epsilon):
-        clear = [VaultPoint(a, i) for i, a in enumerate(abscissas)]
+        # Ordinates descend along the list, so ties on the abscissa are told apart.
+        clear = [(a, len(abscissas) - i) for i, a in enumerate(abscissas)]
         assert (match_candidates(clear, query, epsilon)
                 == match_candidates_oracle(clear, query, epsilon))
 
@@ -314,8 +335,8 @@ class TestOpenVault:
         payload = append_crc(mask_secret(SECRET, cp))
         poly = encode_secret(payload)
         abscissas = [(20 * i + 5) << 8 | (40 * i + 7) % 256 for i in range(9)]
-        points = [VaultPoint(a, eval_poly(poly, a)) for a in abscissas]
-        points[4] = VaultPoint(points[4].a, points[4].b ^ 1)
+        points = [(a, eval_poly(poly, a)) for a in abscissas]
+        points[4] = (points[4][0], points[4][1] ^ 1)
         vault = encrypt_vault(VaultParams(r=9, c=0, d=0, epsilon=0), points, cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
         with pytest.raises(UnlockError, match="fails the checksum"):
@@ -333,7 +354,7 @@ class TestOpenVault:
         records = data.draw(st.lists(
             st.tuples(st.sampled_from(pool), st.one_of(st.none(), st.integers(0, 0xFFFF))),
             max_size=60))
-        points = [VaultPoint(a, eval_poly(poly, a) if b is None else b) for a, b in records]
+        points = [(a, eval_poly(poly, a) if b is None else b) for a, b in records]
         epsilon = data.draw(st.sampled_from((0, 1, 3)))
         vault = encrypt_vault(VaultParams(r=64, c=0, d=0, epsilon=epsilon), points, cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in data.draw(st.permutations(pool))]
@@ -349,8 +370,8 @@ class TestOpenVault:
         cp = CombinedPassword(bytes(8))
         poly = encode_secret(append_crc(mask_secret(SECRET, cp)))
         abscissas = [(20 * i + 5) << 8 | (40 * i + 7) % 256 for i in range(11)]
-        points = [VaultPoint(a, eval_poly(poly, a)) for a in abscissas]
-        points.append(VaultPoint(abscissas[3], points[3].b ^ 1))
+        points = [(a, eval_poly(poly, a)) for a in abscissas]
+        points.append((abscissas[3], points[3][1] ^ 1))
         params = VaultParams(r=20, c=0, d=0, epsilon=0)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
         assert open_vault(encrypt_vault(params, points, cp), query, cp) == SECRET
