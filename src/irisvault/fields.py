@@ -8,8 +8,8 @@ polynomial
     x^16 + x^12 + x^3 + x + 1   (0x1100B)
 
 under which x (= 0x0002) generates the full multiplicative group, so
-multiplication and inversion run off log/antilog tables built once at
-import.
+multiplication and inversion run off log/antilog tables loaded at import
+from ``gf65536.bin``, which ``TestGfTables`` checks against its generator.
 
 The CRC divides MSB-first by
 
@@ -22,9 +22,12 @@ the divisibility check the vault decoder relies on.
 
 from __future__ import annotations
 
+import os
+import sys
+from array import array
+
 from .errors import DomainError
 
-GF_MODULUS = 0x1100B
 GF_ORDER = 1 << 16
 
 CRC_POLY = 0x8005
@@ -33,22 +36,18 @@ SECRET_BYTES = 16
 PAYLOAD_BYTES = SECRET_BYTES + 2  # secret plus appended 16-bit CRC
 
 
-def _build_gf_tables() -> tuple[list[int], list[int]]:
+def _load_gf_tables() -> tuple[array, array]:
+    # The file beside this module holds exp[0..65534] then log[0..65535] as
+    # little-endian uint16, generated by tests/oracles.py:gf_tables_oracle.
+    with open(os.path.join(os.path.dirname(__file__), "gf65536.bin"), "rb") as f:
+        tables = array("H", f.read())
+    if sys.byteorder == "big":
+        tables.byteswap()
     # exp is doubled so gf_mul can index log[a] + log[b] without a mod.
-    exp = [0] * (2 * (GF_ORDER - 1))
-    log = [0] * GF_ORDER
-    value = 1
-    for power in range(GF_ORDER - 1):
-        exp[power] = value
-        exp[power + GF_ORDER - 1] = value
-        log[value] = power
-        value <<= 1
-        if value & GF_ORDER:
-            value ^= GF_MODULUS
-    return exp, log
+    return tables[: GF_ORDER - 1] * 2, tables[GF_ORDER - 1 :]
 
 
-_GF_EXP, _GF_LOG = _build_gf_tables()
+_GF_EXP, _GF_LOG = _load_gf_tables()
 
 
 def gf_add(a: int, b: int) -> int:

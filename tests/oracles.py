@@ -23,6 +23,29 @@ def gf_mul_oracle(a: int, b: int) -> int:
     return acc
 
 
+def gf_tables_oracle():
+    """The exp and log tables of GF(2^16) under 0x1100B, built by stepping
+    x through the multiplicative group one shift-and-reduce at a time; exp
+    is doubled (131070 entries), log has 65536 with log[0] = 0.
+
+    The package loads these tables from ``src/irisvault/gf65536.bin``:
+    exp[0..65534] then log[0..65535], little-endian uint16.  Regenerate it
+    from the repository root with
+
+        python -c "import struct, sys; sys.path.insert(0, 'tests'); from oracles import gf_tables_oracle as g; e, l = g(); open('src/irisvault/gf65536.bin', 'wb').write(struct.pack('<131071H', *e[:65535], *l))"
+    """
+    exp = [0] * (2 * 65535)
+    log = [0] * 65536
+    value = 1
+    for power in range(65535):
+        exp[power] = exp[power + 65535] = value
+        log[value] = power
+        value <<= 1
+        if value & 0x10000:
+            value ^= GF_MODULUS
+    return exp, log
+
+
 def gf_inv_bruteforce(a: int) -> int:
     """Exhaustive search for the multiplicative inverse."""
     for b in range(1, 1 << 16):

@@ -1,17 +1,50 @@
 """GF(2^16) arithmetic and CRC-16 unit tests."""
 
+import os
 import random
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
 
+from irisvault import fields
 from irisvault.errors import DomainError
-from irisvault.fields import append_crc, check_crc, crc16, gf_add, gf_inv, gf_mul
+from irisvault.fields import _GF_EXP, _GF_LOG, append_crc, check_crc, crc16, gf_add, gf_inv, gf_mul
 
-from oracles import crc16_shift_register, gf_mul_oracle
+from oracles import crc16_shift_register, gf_mul_oracle, gf_tables_oracle
 
 elements = st.integers(min_value=0, max_value=0xFFFF)
 nonzero = st.integers(min_value=1, max_value=0xFFFF)
+
+
+class TestGfTables:
+    """The exp/log tables loaded from gf65536.bin against the generator."""
+
+    def test_file_matches_generator(self):
+        exp, log = gf_tables_oracle()
+        assert list(_GF_EXP) == exp
+        assert list(_GF_LOG) == log
+
+    def test_typed_arrays(self):
+        assert isinstance(_GF_EXP, array) and isinstance(_GF_LOG, array)
+        assert (_GF_EXP.typecode, _GF_LOG.typecode) == ("H", "H")
+        assert (len(_GF_EXP), len(_GF_LOG)) == (131070, 65536)
+
+    def test_exp_doubled_and_log_inverts_exp(self):
+        assert _GF_EXP[:65535] == _GF_EXP[65535:]
+        assert [_GF_LOG[e] for e in _GF_EXP[:65535]] == list(range(65535))
+
+    def test_file_is_little_endian(self):
+        # exp[0] = 1 and exp[1] = x = 2 pin the on-disk byte order on any host.
+        with open(os.path.join(os.path.dirname(fields.__file__), "gf65536.bin"), "rb") as f:
+            data = f.read()
+        assert data[:4] == bytes((0x01, 0x00, 0x02, 0x00))
+        assert len(data) == 2 * (65535 + 65536)
+
+    def test_footprint(self):
+        # Lists of ints take over 1 MB for exp alone.
+        assert sys.getsizeof(_GF_EXP) + sys.getsizeof(_GF_LOG) < 512 * 1024
 
 
 class TestGfAdd:
