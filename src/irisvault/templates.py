@@ -5,27 +5,33 @@ Templates travel as plain text, one "x y" decimal pair per line, with
 Vaults travel as a small binary frame so the keystream-xored point
 region stays bit-exact:
 
-    magic "IFV1" | version 0x01 | n | r (BE16) | c (BE16) | d | epsilon |
+    magic "IFV2" | version 0x02 | n | r (BE16) | c (BE16) | d | epsilon |
     4 reserved zero bytes | (r + c) point records of (a BE16, b BE16)
 
-The header is plaintext; only the point records carry keystream.  The
-synthetic generator stands in for an upstream feature extractor, emitting
-seeded, well-separated points in the 256x256 canonical space.
+The header is plaintext, but it keys the keystream over the point records
+together with the password, so a header edited after enrolment leaves the
+records undecryptable.  IFV1 frames ("IFV1", version 0x01, same layout,
+keystream keyed by the password alone) are still read and written back
+unchanged.  The synthetic generator stands in for an upstream feature
+extractor, emitting seeded, well-separated points in the 256x256 canonical
+space.
 """
 
 from __future__ import annotations
 
 import random
-import struct
 
 from .errors import DomainError, FormatError
 from .transform import GRID_SIZE, MinutiaPoint, Template
-from .vault import POINT_RECORD, POLY_DEGREE, Vault, VaultParams
-
-VAULT_MAGIC = b"IFV1"
-VAULT_VERSION = 1
-
-_HEADER = struct.Struct(">4sBBHHBBI")
+from .vault import (
+    POINT_RECORD,
+    POLY_DEGREE,
+    VAULT_HEADER,
+    VAULT_MAGICS,
+    Vault,
+    VaultParams,
+    vault_header,
+)
 
 PLACEMENT_TRIES = 10_000
 
@@ -81,24 +87,23 @@ def synth_template(seed: int, count: int, min_dist: float) -> Template:
 
 
 def write_vault(vault: Vault) -> bytes:
-    """Serialize a vault to the IFV1 frame: the header, then its records."""
-    p = vault.params
-    head = _HEADER.pack(VAULT_MAGIC, VAULT_VERSION, POLY_DEGREE, p.r, p.c, p.d, p.epsilon, 0)
-    return head + vault.records
+    """Serialize a vault to the frame of its version: the header, then its
+    records."""
+    return vault_header(vault.params, vault.version) + vault.records
 
 
 def read_vault(data: bytes) -> Vault:
-    """Check an IFV1 frame and return it as a :class:`Vault` holding the
-    point region as stored, copied to ``bytes`` and not parsed.  Nonzero
-    reserved bytes are a FormatError, so every accepted frame is what
-    write_vault gives back."""
-    if len(data) < _HEADER.size:
+    """Check an IFV2 or IFV1 frame and return it as a :class:`Vault` of that
+    version, holding the point region as stored, copied to ``bytes`` and not
+    parsed.  Nonzero reserved bytes are a FormatError, so every accepted
+    frame is what write_vault gives back."""
+    if len(data) < VAULT_HEADER.size:
         raise FormatError(f"stream of {len(data)} bytes is shorter than the header")
-    magic, version, n, r, c, d, epsilon, reserved = _HEADER.unpack_from(data)
-    if magic != VAULT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {VAULT_MAGIC!r}")
-    if version != VAULT_VERSION:
-        raise FormatError(f"unsupported version {version}")
+    magic, version, n, r, c, d, epsilon, reserved = VAULT_HEADER.unpack_from(data)
+    if magic not in VAULT_MAGICS.values():
+        raise FormatError(f"bad magic {magic!r}, expected b'IFV2' or b'IFV1'")
+    if VAULT_MAGICS.get(version) != magic:
+        raise FormatError(f"unsupported version {version} for magic {magic!r}")
     if n != POLY_DEGREE:
         raise FormatError(f"unsupported polynomial degree {n}")
     if reserved:
@@ -107,10 +112,10 @@ def read_vault(data: bytes) -> Vault:
         params = VaultParams(r=r, c=c, d=d, epsilon=epsilon)
     except DomainError as exc:
         raise FormatError(f"invalid parameters in header: {exc}") from None
-    expected = _HEADER.size + POINT_RECORD.size * params.total
+    expected = VAULT_HEADER.size + POINT_RECORD.size * params.total
     if len(data) != expected:
         raise FormatError(
-            f"point region holds {len(data) - _HEADER.size} bytes, "
-            f"expected {expected - _HEADER.size} for {params.total} points"
+            f"point region holds {len(data) - VAULT_HEADER.size} bytes, "
+            f"expected {expected - VAULT_HEADER.size} for {params.total} points"
         )
-    return Vault(params, bytes(data[_HEADER.size:]))
+    return Vault(params, bytes(data[VAULT_HEADER.size:]), version)

@@ -4,11 +4,14 @@ Encoding masks the secret with the combined password, appends a 16-bit CRC,
 splits the 144-bit payload into nine GF(2^16) coefficients of a degree-8
 polynomial, evaluates it at the template's lock units, buries the genuine
 points among uniformly random chaff, scrambles the list, packs it into 4-byte
-records and xors a password-keyed keystream over them.  A :class:`Vault` only
-ever holds those stored bytes, the point region of an IFV1 file; the clear
-points exist as a plain ``list[tuple[int, int]]`` of ``(a, b)`` pairs,
-abscissa then ordinate, between :func:`decrypt_vault` and
-:func:`encrypt_vault`.
+records and xors a keystream over them: SHAKE-128 of the vault's 16-byte
+header and the password, so a vault whose header was edited decrypts to
+noise.  A :class:`Vault` only ever holds those stored bytes, the point
+region of a vault file; the clear points exist as a plain
+``list[tuple[int, int]]`` of ``(a, b)`` pairs, abscissa then ordinate,
+between :func:`decrypt_vault` and :func:`encrypt_vault`.  Vaults of the
+older IFV1 format, whose keystream depends on the password alone, still
+decrypt.
 A polynomial is a plain tuple of nine coefficients, highest degree first.
 
 Decoding reverses the path: decrypt, transform the query with the same
@@ -45,6 +48,13 @@ from .fields import (
 )
 from .password import CombinedPassword, derive_blocks, mask_secret, seed_from_password
 from .transform import MinutiaPoint, Template, prune_close, transform_template
+
+# As random.py does for _sha512: the builtin module gives the same bytes as
+# hashlib without loading OpenSSL, which costs some 3.6 MB of resident memory.
+try:
+    from _sha3 import shake_128
+except ImportError:
+    from hashlib import shake_128
 
 POLY_DEGREE = 8
 N_COEFFS = POLY_DEGREE + 1
@@ -83,16 +93,31 @@ class VaultParams:
 
 POINT_RECORD = struct.Struct(">HH")  # abscissa, ordinate: big-endian 16-bit words
 
+# magic, version, degree, r, c, d, epsilon, 4 reserved zero bytes
+VAULT_HEADER = struct.Struct(">4sBBHHBBI")
+VAULT_MAGICS = {1: b"IFV1", 2: b"IFV2"}
+VAULT_VERSION = 2
+
+
+def vault_header(params: VaultParams, version: int = VAULT_VERSION) -> bytes:
+    """The 16-byte header that starts a vault file of ``version``."""
+    return VAULT_HEADER.pack(VAULT_MAGICS[version], version, POLY_DEGREE,
+                             params.r, params.c, params.d, params.epsilon, 0)
+
 
 @dataclass
 class Vault:
-    """Parameters plus the points as stored: one :data:`POINT_RECORD` per
-    point, the IFV1 point region, with the password-keyed keystream xored
-    over it, so without the password the records carry no structure.
-    :func:`decrypt_vault` returns the clear points as ``(a, b)`` tuples."""
+    """Parameters, format version and the points as stored: one
+    :data:`POINT_RECORD` per point, the point region of the vault file,
+    with the keystream xored over it, so without the password the records
+    carry no structure.  The keystream of version 2 (IFV2) is keyed by the
+    header and the password, that of version 1 (IFV1) by the password
+    alone.  :func:`decrypt_vault` returns the clear points as ``(a, b)``
+    tuples."""
 
     params: VaultParams
     records: bytes
+    version: int = VAULT_VERSION
 
 
 def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
@@ -287,33 +312,41 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     """Uniform decoy ``(a, b)`` points that avoid genuine abscissas and the
     polynomial.
 
-    Abscissas are drawn from the full 16-bit space with rejection on
-    collision; ordinates are redrawn until they miss the polynomial, so a
-    chaff point can never masquerade as genuine.
+    All missing points are drawn at once, as pairs of big-endian 16-bit
+    words from one ``rng.randbytes`` call.  A pair whose abscissa is taken
+    or whose ordinate lies on the polynomial is rejected whole, and the
+    shortfall is drawn again the same way: abscissas stay distinct and none
+    genuine, and a chaff point can never masquerade as genuine.
     """
     if count + len(genuine_us) > GF_ORDER:
         raise DomainError(f"{count} chaff + {len(genuine_us)} genuine exceed {GF_ORDER} abscissas")
     used = set(genuine_us)
     chaff: list[tuple[int, int]] = []
-    while len(chaff) < count:
-        a = rng.randrange(GF_ORDER)
-        if a in used:
-            continue
-        used.add(a)
-        on_curve = eval_poly(poly, a)
-        b = rng.randrange(GF_ORDER)
-        while b == on_curve:
-            b = rng.randrange(GF_ORDER)
-        chaff.append((a, b))
+    need = count
+    while need:
+        words = struct.unpack(f">{2 * need}H", rng.randbytes(4 * need))
+        for a, b in zip(words[::2], words[1::2]):
+            if a not in used and b != eval_poly(poly, a):
+                used.add(a)
+                chaff.append((a, b))
+        need = count - len(chaff)
     return chaff
 
 
-def _cipher(records: bytes, seed: int) -> bytes:
-    """xor a xorshift*-style 64-bit keystream over ``records``, blocks
-    big-endian and the last one cut to length; xor is its own inverse.
+def _xor(records: bytes, stream: bytes) -> bytes:
+    """``records`` xored with the equally long ``stream``, as one integer."""
+    xored = int.from_bytes(records, "big") ^ int.from_bytes(stream, "big")
+    return xored.to_bytes(len(records), "big")
 
-    Reproducibility-grade whitening keyed by the password, not a vetted
-    cipher; the state must be nonzero, which seed_from_password guarantees.
+
+def _cipher(records: bytes, seed: int) -> bytes:
+    """xor the IFV1 keystream over ``records``: a xorshift*-style 64-bit
+    generator seeded by the password alone, blocks big-endian and the last
+    one cut to length; xor is its own inverse.
+
+    Reproducibility-grade whitening, not a vetted cipher, kept only so that
+    IFV1 vaults still open; the state must be nonzero, which
+    seed_from_password guarantees.
     """
     mask = (1 << 64) - 1
     s = seed & mask
@@ -323,24 +356,32 @@ def _cipher(records: bytes, seed: int) -> bytes:
         s ^= (s << 25) & mask
         s ^= s >> 27
         blocks.append((s * 0x2545F4914F6CDD1D) & mask)
-    stream = struct.pack(f">{len(blocks)}Q", *blocks)[:len(records)]
-    xored = int.from_bytes(records, "big") ^ int.from_bytes(stream, "big")
-    return xored.to_bytes(len(records), "big")
+    return _xor(records, struct.pack(f">{len(blocks)}Q", *blocks)[:len(records)])
+
+
+def _shake_cipher(records: bytes, header: bytes, cp: CombinedPassword) -> bytes:
+    """xor the IFV2 keystream, SHAKE-128 of ``header || cp.data``, over
+    ``records``."""
+    return _xor(records, shake_128(header + cp.data).digest(len(records)))
 
 
 def encrypt_vault(params: VaultParams, points: Sequence[tuple[int, int]],
                   cp: CombinedPassword) -> Vault:
-    """The stored vault for clear ``(a, b)`` points: their packed records with
-    the password-keyed keystream xored over them.  Inverse of :func:`decrypt_vault`."""
+    """The stored IFV2 vault for clear ``(a, b)`` points: their packed records
+    with the keystream of its header and ``cp`` xored over them.  Inverse of
+    :func:`decrypt_vault`."""
     records = struct.pack(f">{2 * len(points)}H", *chain.from_iterable(points))
-    return Vault(params, _cipher(records, seed_from_password(cp)))
+    return Vault(params, _shake_cipher(records, vault_header(params), cp))
 
 
 def decrypt_vault(vault: Vault, cp: CombinedPassword) -> list[tuple[int, int]]:
     """The clear points of a stored vault under ``cp``, one plain ``(a, b)``
-    tuple per record.  A wrong password yields points with no structure,
-    not an error."""
-    clear = _cipher(vault.records, seed_from_password(cp))
+    tuple per record.  A wrong password, or an IFV2 header edited since
+    enrolment, yields points with no structure, not an error."""
+    if vault.version == 1:
+        clear = _cipher(vault.records, seed_from_password(cp))
+    else:
+        clear = _shake_cipher(vault.records, vault_header(vault.params, vault.version), cp)
     return list(POINT_RECORD.iter_unpack(clear))
 
 
@@ -409,7 +450,8 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword,
     """Recover the 16-byte secret from a query template and password.
 
     ``params`` defaults to the vault's own; passing an override lets a
-    caller widen epsilon without touching the stored header.  Candidates
+    caller widen epsilon without touching the stored header.  The override
+    steers matching only: the vault decrypts under its stored header.  Candidates
     whose abscissa occurs more than once are dropped (a correct key never
     decrypts two points to one abscissa), and the rest are decoded once as
     a Reed-Solomon code.  The secret is returned only when the decoded

@@ -95,6 +95,19 @@ class TestEnrollVerify:
         assert verify(template, vault) == 2
         capsys.readouterr()
 
+    def test_edited_epsilon_exits_1(self, workspace, capsys):
+        # The header keys the keystream: a widened epsilon (byte 11) leaves
+        # a well-formed vault that no query opens.
+        template, vault = workspace
+        assert enroll(template, vault) == 0
+        capsys.readouterr()
+        blob = bytearray(vault.read_bytes())
+        assert blob[:4] == b"IFV2"
+        blob[11] = 8
+        vault.write_bytes(bytes(blob))
+        assert verify(template, vault) == 1
+        assert capsys.readouterr().out == ""
+
     def test_bad_secret_flag_exits_2(self, workspace, capsys):
         template, vault = workspace
         assert enroll(template, vault, ["--secret", "zz"]) == 2

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -20,15 +21,19 @@ from irisvault.vault import Vault, VaultParams, build_vault, open_vault
 
 from vectors import FUZZY, TOKEN
 
+DATA = Path(__file__).parent / "data"
+
 points = st.builds(MinutiaPoint, st.integers(0, 255), st.integers(0, 255))
 
 
 @st.composite
-def ifv1_like_frames(draw):
-    """Frames with the IFV1 magic and a body near the size r and c call
-    for, so that parsing gets past the magic to its later checks."""
+def vault_like_frames(draw):
+    """Frames with the IFV1 or IFV2 magic, either version, and a body near
+    the size r and c call for, so that parsing gets past the magic to its
+    later checks and meets every magic/version mismatch."""
     r, c = draw(st.integers(0, 12)), draw(st.integers(0, 3))
-    head = struct.pack(">4sBBHHBB4s", b"IFV1", draw(st.sampled_from((1, 2))),
+    head = struct.pack(">4sBBHHBB4s", draw(st.sampled_from((b"IFV1", b"IFV2"))),
+                       draw(st.sampled_from((1, 2))),
                        draw(st.sampled_from((8, 7))), r, c,
                        draw(st.integers(0, 255)), draw(st.integers(0, 255)),
                        draw(st.one_of(st.just(bytes(4)), st.binary(min_size=4, max_size=4))))
@@ -141,11 +146,29 @@ class TestVaultFrame:
         (3, FUZZY, "e54193a970032afdbd8314d46f1b64e78f33fe019d9fbcb15d7ab9cfb6e6cb32", 25, 21),
     ])
     def test_golden_bytes(self, seed, cp, digest, count, r):
-        # Frozen IFV1 frames: a change to chaff, encoding or cipher that
+        # IFV1 files written before IFV2 existed, kept under tests/data:
+        # they must still parse, open and serialize back unchanged.
+        blob = (DATA / f"ifv1-seed{seed}.vault").read_bytes()
+        assert len(blob) == 16 + 4 * (r + 200)
+        assert hashlib.sha256(blob).hexdigest() == digest
+        vault = read_vault(blob)
+        assert vault.version == 1 and vault.params == VaultParams(r=r, c=200)
+        assert write_vault(vault) == blob
+        assert open_vault(vault, synth_template(seed, count, 4), cp) == bytes(16)
+
+    @pytest.mark.parametrize("seed, cp, digest, count, r", [
+        (0, FUZZY, "287abc8525cf9e3d3dfe31fbee32d5b833e21063518a1c0f18112b02283a2d13", 20, 20),
+        (7, TOKEN, "574eb7abaf7f081cc0a0aa7a6e8eda931038a89122894c87d040c080b38f5787", 20, 20),
+        # 221 records: an odd record count, as for the IFV1 fixture.
+        (3, FUZZY, "0d96eed8eafd5e8aedaca85496866a1959aebfcfdc0e9a0608da2d3c94b10f87", 25, 21),
+    ])
+    def test_golden_bytes_ifv2(self, seed, cp, digest, count, r):
+        # Frozen IFV2 frames: a change to chaff, encoding or cipher that
         # alters the bytes would also stop existing vault files opening.
         template = synth_template(seed, count, 4)
         params = VaultParams(r=r, c=200)
         blob = write_vault(build_vault(template, bytes(16), cp, params, random.Random(seed)))
+        assert blob[:5] == b"IFV2\x02"
         assert len(blob) == 16 + 4 * (r + 200)
         assert hashlib.sha256(blob).hexdigest() == digest
         assert open_vault(read_vault(blob), template, cp) == bytes(16)
@@ -164,10 +187,11 @@ class TestVaultFrame:
         buffer[16:] = bytes(len(buffer) - 16)
         assert held == vault
 
-    @given(st.one_of(st.binary(max_size=64), ifv1_like_frames()))
+    @given(st.one_of(st.binary(max_size=64), vault_like_frames()))
     # A frame that parses but for its reserved bytes: drawn frames reach one
     # only now and then.
     @example(struct.pack(">4sBBHHBB4s", b"IFV1", 1, 8, 9, 0, 0, 0, b"\xab\0\0\0") + bytes(36))
+    @example(struct.pack(">4sBBHHBB4s", b"IFV2", 2, 8, 9, 0, 0, 0, b"\0\0\0\xab") + bytes(36))
     def test_any_bytes_parse_or_raise_format_error(self, data):
         try:
             vault = read_vault(data)
@@ -181,6 +205,13 @@ class TestVaultFrame:
         blob = bytearray(write_vault(self.make()))
         blob[12] = 0xAB
         with pytest.raises(FormatError, match="reserved"):
+            read_vault(bytes(blob))
+
+    @pytest.mark.parametrize("magic, version", [(b"IFV1", 2), (b"IFV2", 1)])
+    def test_magic_version_mismatch(self, magic, version):
+        blob = bytearray(write_vault(self.make()))
+        blob[:5] = magic + bytes([version])
+        with pytest.raises(FormatError, match="version"):
             read_vault(bytes(blob))
 
     def test_bad_params(self):

@@ -1,17 +1,24 @@
 """Fuzzy vault encode/decode tests."""
 
+import hashlib
+import importlib.util
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from irisvault.errors import DomainError, UnlockError
-from irisvault.fields import append_crc
+from irisvault.fields import GF_ORDER, append_crc
 from irisvault.password import CombinedPassword, mask_secret
-from irisvault.templates import synth_template
+from irisvault.templates import read_vault, synth_template, write_vault
 from irisvault.transform import MinutiaPoint
 from irisvault.vault import (
+    Vault,
     VaultParams,
     _rs_decode,
     build_vault,
@@ -145,6 +152,44 @@ class TestChaff:
         chaff = generate_chaff(set(), poly, 500, random.Random(6))
         assert all(b != eval_poly(poly, a) for a, b in chaff)
 
+    @given(st.integers(0, 2**32), st.sets(st.integers(0, 0xFFFF), max_size=60),
+           st.integers(0, 300), coeff_tuples)
+    @settings(max_examples=100, deadline=None)
+    def test_rules_hold_for_any_draw(self, seed, genuine, count, poly):
+        chaff = generate_chaff(genuine, poly, count, random.Random(seed))
+        assert len(chaff) == count
+        abscissas = {a for a, _ in chaff}
+        assert len(abscissas) == count
+        assert not abscissas & genuine
+        assert all(b != eval_poly_oracle(poly, a) for a, b in chaff)
+        assert generate_chaff(genuine, poly, count, random.Random(seed)) == chaff
+
+    def test_rejected_pairs_are_drawn_again(self):
+        # A genuine abscissa, a point on the curve and a repeated abscissa
+        # each cost their whole pair, and only the shortfall is drawn again.
+        poly = encode_secret(append_crc(SECRET))
+        y7, y12 = eval_poly(poly, 7), eval_poly(poly, 12)
+        draws = [struct.pack(">6H", 5, 1, 7, y7, 9, 2), struct.pack(">4H", 9, 3, 11, 4),
+                 struct.pack(">2H", 12, y12 ^ 1)]
+
+        class Scripted(random.Random):
+            def randbytes(self, n):
+                assert n == len(draws[0])
+                return draws.pop(0)
+
+        assert generate_chaff({5}, poly, 3, Scripted()) == [(9, 2), (11, 4), (12, y12 ^ 1)]
+        assert draws == []
+
+    def test_fills_the_whole_space(self):
+        # The last free abscissas are hit rarely, so this shows that the
+        # redraw loop ends with every one of the 65,536 taken.
+        poly = encode_secret(append_crc(SECRET))
+        genuine = set(range(0, GF_ORDER, 2)) | set(range(1, 60_000, 2))
+        count = GF_ORDER - len(genuine)
+        chaff = generate_chaff(genuine, poly, count, random.Random(9))
+        assert {a for a, _ in chaff} | genuine == set(range(GF_ORDER))
+        assert all(b != eval_poly(poly, a) for a, b in chaff)
+
     def test_space_exhausted(self):
         poly = encode_secret(bytes(18))
         with pytest.raises(DomainError, match="exceed 65536 abscissas"):
@@ -204,10 +249,29 @@ class TestBuildVault:
     # An odd count uses only the first half of the last keystream block.
     @example(1, [(0, 0)] * 221)
     def test_cipher_matches_word_oracle(self, seed, pairs):
+        # IFV1 records are the points under the password-seeded xorshift
+        # keystream; they decrypt for as long as IFV1 files must open.
         cp = CombinedPassword(seed.to_bytes(8, "big"))
-        vault = encrypt_vault(VaultParams(), pairs, cp)
         expect = cipher_points_oracle(pairs, seed)
-        assert vault.records == b"".join(struct.pack(">HH", *p) for p in expect)
+        stored = b"".join(struct.pack(">HH", *p) for p in expect)
+        assert decrypt_vault(Vault(VaultParams(), stored, version=1), cp) == pairs
+
+    @given(st.binary(min_size=8, max_size=8),
+           st.builds(VaultParams, st.integers(9, 0xFFFF), st.integers(0, 0xFFFF),
+                     st.integers(0, 255), st.integers(0, 255)),
+           st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)), max_size=300))
+    @example(bytes(8), VaultParams(r=21), [(0, 0)] * 221)
+    def test_ifv2_records_are_shake_keystream(self, password, params, pairs):
+        # hashlib's SHAKE-128 comes from OpenSSL where the package's may not,
+        # so this also checks that the two agree.
+        cp = CombinedPassword(password)
+        header = struct.pack(">4sBBHHBBI", b"IFV2", 2, 8, params.r, params.c,
+                             params.d, params.epsilon, 0)
+        stream = hashlib.shake_128(header + password).digest(4 * len(pairs))
+        clear = b"".join(struct.pack(">HH", *p) for p in pairs)
+        vault = encrypt_vault(params, pairs, cp)
+        assert vault.version == 2
+        assert vault.records == bytes(x ^ k for x, k in zip(clear, stream))
         assert decrypt_vault(vault, cp) == pairs
 
 
@@ -379,8 +443,36 @@ class TestOpenVault:
         with pytest.raises(UnlockError, match="candidate points with distinct abscissas"):
             open_vault(encrypt_vault(params, points[2:], cp), query, cp)
 
+    def test_edited_header_decrypts_to_noise(self):
+        # Widening the stored epsilon (byte 11) is what would let a jittered
+        # query match; the header keys the IFV2 keystream, so the edited
+        # vault decrypts to noise and opens for no query.
+        template, vault = make_vault(14)
+        jittered = [MinutiaPoint(min(255, p.x + 1), p.y) for p in template]
+        blob = bytearray(write_vault(vault))
+        blob[11] = 2
+        edited = read_vault(bytes(blob))
+        assert edited.params == VaultParams(epsilon=2)
+        # An override widens matching but decrypts under the stored header.
+        assert open_vault(vault, jittered, FUZZY, edited.params) == SECRET
+        for query in (jittered, template):
+            with pytest.raises(UnlockError):
+                open_vault(edited, query, FUZZY)
+
     def test_params_override_epsilon(self):
         template, vault = make_vault(14)
         jittered = [MinutiaPoint(min(255, p.x + 1), p.y) for p in template]
         wider = VaultParams(epsilon=2)
         assert open_vault(vault, jittered, FUZZY, wider) == SECRET
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha3") is None,
+                    reason="SHAKE-128 can only come from hashlib here")
+def test_import_leaves_openssl_unloaded():
+    # hashlib loads OpenSSL's _hashlib, which adds megabytes of resident memory.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, irisvault; print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
