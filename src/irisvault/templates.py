@@ -70,6 +70,8 @@ def synth_template(seed: int, count: int, min_dist: float) -> Template:
     point burns through 10,000 rejected draws, which in practice means the
     (count, min_dist) combination does not fit.
     """
+    if count < 0:
+        raise DomainError(f"count must be non-negative, got {count}")
     rng = random.Random(seed)
     threshold = min_dist * min_dist
     points: Template = []

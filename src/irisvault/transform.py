@@ -10,6 +10,7 @@ produces a different, reissuable template from the same biometric.
 
 from __future__ import annotations
 
+from math import ceil, inf
 from typing import NamedTuple, Sequence
 
 from .password import TranslationBlock
@@ -52,8 +53,17 @@ def transform_point(p: MinutiaPoint, block: TranslationBlock) -> MinutiaPoint:
 
 def transform_template(points: Sequence[MinutiaPoint],
                        blocks: Sequence[TranslationBlock]) -> Template:
-    """Transform every point with its quadrant's block; order is preserved."""
-    return [transform_point(p, blocks[quadrant_of(p)]) for p in points]
+    """Transform every point with its quadrant's block, as :func:`transform_point`
+    would, in one pass; order is preserved.  Quadrants start at multiples of
+    128, so the wrap is ``base + (x + tu % 128) % 128``."""
+    shifts = [(b.tu % QUADRANT_SIZE, b.tv % QUADRANT_SIZE) for b in blocks]
+    out: Template = []
+    for x, y in points:
+        right, down = x >= QUADRANT_SIZE, y >= QUADRANT_SIZE
+        tu, tv = shifts[right + 2 * down]
+        out.append(MinutiaPoint(right * QUADRANT_SIZE + (x + tu) % QUADRANT_SIZE,
+                                down * QUADRANT_SIZE + (y + tv) % QUADRANT_SIZE))
+    return out
 
 
 def prune_close(points: Sequence[MinutiaPoint], min_dist: float) -> Template:
@@ -61,15 +71,26 @@ def prune_close(points: Sequence[MinutiaPoint], min_dist: float) -> Template:
 
     Greedy scan in list order: a point survives iff its Euclidean distance
     to every earlier survivor is >= min_dist.  Deterministic and
-    order-stable; O(n^2), which is fine at template scale.
+    order-stable.  Each point is tested only against the survivors in its
+    x-strip and the two beside it, strips max(1, ceil(|min_dist|)) wide: a
+    closer pair differs in x by less than one width.  At 0 all survive.
     """
     threshold = min_dist * min_dist
+    if not threshold > 0:
+        return list(points)
+    if threshold == inf:  # every pair is closer: no strip width would do
+        return list(points[:1])
+    width = max(1, ceil(abs(min_dist)))
+    near: dict[int, list[MinutiaPoint]] = {}  # strip -> survivors in it and beside it
     kept: Template = []
     for p in points:
         x, y = p
-        for qx, qy in kept:
+        s = x // width
+        for qx, qy in near.get(s, ()):
             if (x - qx) * (x - qx) + (y - qy) * (y - qy) < threshold:
                 break
         else:
             kept.append(p)
+            for t in (s - 1, s, s + 1):
+                near.setdefault(t, []).append(p)
     return kept

@@ -137,7 +137,9 @@ def _template_units(template: Template, cp: CombinedPassword, params: VaultParam
     for enrolment and verification alike.  Enrolment needs all r; a degraded
     query matches with what it has, so its failure stays an UnlockError."""
     ready = prune_close(transform_template(template, derive_blocks(cp)), params.d)
-    return lock_units(ready, params.r if enrol else min(params.r, len(set(ready))))
+    if enrol:
+        return lock_units(ready, params.r)
+    return sorted({(x << 8) | y for x, y in ready})[:params.r]
 
 
 def encode_secret(payload: bytes) -> tuple[int, ...]:
@@ -233,6 +235,23 @@ def _poly_add(p: list[int], q: list[int]) -> list[int]:
     return _poly_trim(out)
 
 
+def _root_product(roots: Sequence[int]) -> list[int]:
+    """prod(x - a) over ``roots``, built in place one factor at a time on
+    the log tables: shift up, which is all a root 0 needs, then add a times
+    the old product, each coefficient read just before it is overwritten."""
+    exp, log = _GF_EXP, _GF_LOG
+    prod = [1]
+    for a in roots:
+        prod.insert(0, 0)
+        if a:
+            la = log[a]
+            for j in range(len(prod) - 1):
+                c = prod[j + 1]
+                if c:
+                    prod[j] ^= exp[log[c] + la]
+    return prod
+
+
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     if not p or not q:
         return []
@@ -276,9 +295,10 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
     agreement the polynomial is unique (two distinct ones share at most
     eight points), so the answer does not depend on the candidates' order.
     The interpolant of the first nine is tried first, which settles an
-    error-free candidate set without Euclid; otherwise Gao's algorithm
-    (2003) decodes up to floor((m - 9) / 2) errors: interpolate all m
-    points, run the extended Euclidean algorithm on prod(x - a_i) and that
+    error-free candidate set without Euclid, and at m <= 10, where no error
+    can be corrected, decides.  Otherwise Gao's algorithm (2003) decodes up
+    to floor((m - 9) / 2) errors: interpolate all m points, run the
+    extended Euclidean algorithm on prod(x - a_i), built in place, and that
     interpolant until the remainder's degree drops below (m + 9) / 2, and
     divide the remainder by its Bezout coefficient.
     """
@@ -287,9 +307,9 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
     coeffs = interpolate(candidates[:N_COEFFS])
     if _agrees(coeffs, candidates[N_COEFFS:], need - N_COEFFS):
         return coeffs
-    r0: list[int] = [1]
-    for a, _ in candidates:
-        r0 = _poly_mul(r0, [a, 1])
+    if m <= N_COEFFS + 1:
+        return None
+    r0 = _root_product([a for a, _ in candidates])
     r1 = _poly_trim(list(interpolate(candidates)[::-1]))
     v0: list[int] = []
     v1 = [1]

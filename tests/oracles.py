@@ -79,6 +79,20 @@ def eval_poly_oracle(coeffs_high_first, u: int) -> int:
     return acc
 
 
+def root_product_oracle(roots):
+    """prod(x - a) over ``roots`` as ascending coefficients, folded one
+    freshly allocated product per factor: each term of the running product
+    times each term of x + a, multiplied with :func:`gf_mul_oracle`."""
+    prod = [1]
+    for a in roots:
+        out = [0] * (len(prod) + 1)
+        for i, c in enumerate(prod):
+            out[i] ^= gf_mul_oracle(c, a)
+            out[i + 1] ^= c
+        prod = out
+    return prod
+
+
 def match_candidates_oracle(points, query_units, epsilon):
     """Brute-force disc scan: every vault point against every query unit,
     kept when its decoded (x, y) lies within ``epsilon`` of one, or equals a

@@ -260,6 +260,12 @@ class TestSynth:
                      "--min-dist", "400"]) == 2
         capsys.readouterr()
 
+    def test_negative_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "negative.txt"
+        assert main(["synth", "--out", str(out), "--count", "-1"]) == 2
+        assert "count must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "t.txt"

@@ -93,6 +93,10 @@ class TestSynth:
         with pytest.raises(DomainError, match="could not place point"):
             synth_template(0, 10, 400)
 
+    def test_negative_count(self):
+        with pytest.raises(DomainError, match="count must be non-negative, got -1"):
+            synth_template(0, -1, 4)
+
 
 class TestVaultFrame:
     def make(self, seed=0):

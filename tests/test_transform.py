@@ -116,3 +116,36 @@ class TestPruneClose:
     @example([MinutiaPoint(7, 7)] * 3 + [MinutiaPoint(9, 7), MinutiaPoint(7, 7)], 2.5)
     def test_agrees_with_all_based_oracle(self, template, min_dist):
         assert prune_close(template, min_dist) == prune_close_oracle(template, min_dist)
+
+
+@given(st.lists(st.builds(MinutiaPoint, st.integers(-300, 600), st.integers(-300, 600)),
+                max_size=40),
+       st.lists(st.builds(TranslationBlock, st.integers(-1000, 5000), st.integers(-1000, 5000)),
+                min_size=4, max_size=4))
+def test_transform_template_is_transform_point_per_quadrant(template, quadrant_blocks):
+    expect = [transform_point(p, quadrant_blocks[quadrant_of(p)]) for p in template]
+    assert transform_template(template, quadrant_blocks) == expect
+
+
+# Negative distances prune as their absolute value; those in (0, 1) get
+# strips one wide.
+distances = st.one_of(st.floats(0, 50), st.floats(-50, 0), st.floats(0, 1, exclude_min=True,
+                                                                        exclude_max=True))
+
+
+@given(st.lists(st.builds(MinutiaPoint, st.one_of(crowded, st.integers(-300, 600)), crowded),
+                max_size=60),
+       distances)
+@settings(max_examples=300)
+# Strips are 3 wide: a close pair across the boundary of strips 0 and 1.
+@example([MinutiaPoint(2, 0), MinutiaPoint(3, 1)], 2.5)
+# The widest close pair at 4, x 3 apart, and pairs exactly one strip width
+# apart, at an integer and at a fractional distance.
+@example([MinutiaPoint(1, 0), MinutiaPoint(4, 0), MinutiaPoint(8, 1)], 4)
+@example([MinutiaPoint(3, 0), MinutiaPoint(7, 0), MinutiaPoint(11, 3)], 4)
+@example([MinutiaPoint(0, 5), MinutiaPoint(3, 5), MinutiaPoint(-3, 5)], 2.5)
+@example([MinutiaPoint(0, 0), MinutiaPoint(255, 255), MinutiaPoint(100, 100),
+          MinutiaPoint(255, 0)], 300)
+@example([MinutiaPoint(0, 0), MinutiaPoint(255, 255), MinutiaPoint(-300, 600)], float("inf"))
+def test_strip_pruning_agrees_with_oracle(template, min_dist):
+    assert prune_close(template, min_dist) == prune_close_oracle(template, min_dist)

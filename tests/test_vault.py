@@ -14,13 +14,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from irisvault.errors import DomainError, UnlockError
 from irisvault.fields import GF_ORDER, append_crc
-from irisvault.password import CombinedPassword, mask_secret
+from irisvault.password import CombinedPassword, derive_blocks, mask_secret
 from irisvault.templates import read_vault, synth_template, write_vault
-from irisvault.transform import MinutiaPoint
+from irisvault.transform import MinutiaPoint, prune_close, transform_template
 from irisvault.vault import (
     Vault,
     VaultParams,
+    _root_product,
     _rs_decode,
+    _template_units,
     build_vault,
     decode_secret,
     decrypt_vault,
@@ -34,7 +36,12 @@ from irisvault.vault import (
     open_vault,
 )
 
-from oracles import cipher_points_oracle, eval_poly_oracle, match_candidates_oracle
+from oracles import (
+    cipher_points_oracle,
+    eval_poly_oracle,
+    match_candidates_oracle,
+    root_product_oracle,
+)
 from vectors import FUZZY, TOKEN
 
 coeff_tuples = st.tuples(*[st.integers(0, 0xFFFF)] * 9)
@@ -275,6 +282,24 @@ class TestBuildVault:
         assert decrypt_vault(vault, cp) == pairs
 
 
+@given(st.lists(st.builds(MinutiaPoint, grid, grid), max_size=40),
+       st.binary(min_size=8, max_size=8), st.integers(9, 30), st.integers(0, 255))
+@settings(max_examples=200)
+def test_template_units_compose_transform_prune_and_lock(template, password, r, d):
+    cp, params = CombinedPassword(password), VaultParams(r=r, d=d)
+    ready = prune_close(transform_template(template, derive_blocks(cp)), d)
+    assert (_template_units(template, cp, params, enrol=False)
+            == lock_units(ready, min(r, len(set(ready)))))
+    try:
+        expect = lock_units(ready, r)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            _template_units(template, cp, params, enrol=True)
+        assert str(got.value) == str(exc)
+    else:
+        assert _template_units(template, cp, params, enrol=True) == expect
+
+
 class TestMatchCandidates:
     def test_exact_units_select_genuine(self):
         template, vault = make_vault(7)
@@ -370,6 +395,22 @@ class TestRsDecode:
         if got is not None:
             need = (len(points) + 10) // 2
             assert sum(eval_poly_oracle(got, x) == y for x, y in points) >= need
+
+    @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=1, max_size=60,
+                    unique=True))
+    @settings(deadline=None)
+    def test_root_product_agrees_with_oracle(self, roots):
+        assert _root_product(roots) == root_product_oracle(roots)
+
+    def test_ten_candidates_one_off_the_curve(self):
+        # At m = 10 no error is correctable: whether the bad point is among
+        # the first nine or is the tenth, no polynomial agrees with all ten,
+        # as Gao's decoder also found when it ran at this m.
+        coeffs = (7, 0, 0, 0, 0, 0, 0, 1, 0x1234)
+        points = [(x, eval_poly_oracle(coeffs, x)) for x in range(10)]
+        assert _rs_decode(points) == coeffs
+        for bad in (0, 3, 9):
+            assert _rs_decode(corrupt(points, [bad], [1])) is None
 
 
 class TestOpenVault:
