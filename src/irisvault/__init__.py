@@ -34,7 +34,6 @@ from .transform import (
     Template,
     prune_close,
     quadrant_of,
-    transform_point,
     transform_template,
 )
 from .vault import (

@@ -23,7 +23,7 @@ from .password import (
     combine_password,
     derive_blocks,
 )
-from .transform import quadrant_of, transform_point
+from .transform import quadrant_of, transform_template
 from .vault import (DEFAULT_CHAFF_FACTOR, DEFAULT_GENUINE, DEFAULT_MAX_COMBINATIONS,
                     DEFAULT_PRUNE_DIST, POLY_DEGREE, VaultParams, build_vault, open_vault)
 
@@ -98,10 +98,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
     blocks = derive_blocks(cp)
     points = _read_template(args.template)
     print("# quadrant x y tu tv x' y'")
-    for p in points:
+    for p, moved in zip(points, transform_template(points, blocks)):
         q = quadrant_of(p)
         block = blocks[q]
-        moved = transform_point(p, block)
         print(f"{QUADRANT_NAMES[q]} {p.x} {p.y} {block.tu} {block.tv} {moved.x} {moved.y}")
     return 0
 

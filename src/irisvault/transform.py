@@ -37,25 +37,12 @@ def quadrant_of(p: MinutiaPoint) -> int:
     return (1 if p.x >= QUADRANT_SIZE else 0) + (2 if p.y >= QUADRANT_SIZE else 0)
 
 
-def transform_point(p: MinutiaPoint, block: TranslationBlock) -> MinutiaPoint:
-    """Translate a point by (tu, tv) with wrap-around inside its quadrant.
-
-    Translation amounts larger than 128 simply wrap; only tu mod 128 and
-    tv mod 128 matter to the output.
-    """
-    bx = QUADRANT_SIZE if p.x >= QUADRANT_SIZE else 0
-    by = QUADRANT_SIZE if p.y >= QUADRANT_SIZE else 0
-    return MinutiaPoint(
-        x=bx + (p.x - bx + block.tu) % QUADRANT_SIZE,
-        y=by + (p.y - by + block.tv) % QUADRANT_SIZE,
-    )
-
-
 def transform_template(points: Sequence[MinutiaPoint],
                        blocks: Sequence[TranslationBlock]) -> Template:
-    """Transform every point with its quadrant's block, as :func:`transform_point`
-    would, in one pass; order is preserved.  Quadrants start at multiples of
-    128, so the wrap is ``base + (x + tu % 128) % 128``."""
+    """Translate every point by its quadrant's block (tu, tv), wrapping
+    around inside the quadrant; order is preserved.  Quadrants start at
+    multiples of 128, so the wrap is ``base + (x + tu % 128) % 128``: only
+    tu and tv mod 128 matter."""
     shifts = [(b.tu % QUADRANT_SIZE, b.tv % QUADRANT_SIZE) for b in blocks]
     out: Template = []
     for x, y in points:

@@ -14,6 +14,17 @@ older IFV1 format, whose keystream depends on the password alone, still
 decrypt.
 A polynomial is a plain tuple of nine coefficients, highest degree first.
 
+No chaff point may lie on the polynomial, so every drawn abscissa is
+evaluated, a whole draw at once by :func:`_eval_poly_many`.  It sums the
+terms f(x) = c0 + sum of exp[(log ck + k log x) mod 65535] with each
+abscissa in a 32-bit little-endian lane of one Python int: an integer
+addition steps k log x in every lane, and folding as (s & 0xFFFF) +
+(s >> 16), since 2^16 = 1 mod 65535, keeps it in [0, 65535].  With log ck
+added an exp index is at most 131069, inside the doubled table, so no lane
+carries into the next.  Each term is gathered with one itemgetter call and
+xored in as packed 16-bit lanes.  log[0] is only a placeholder, so lanes
+with x = 0 are set to c0 at the end.
+
 Decoding reverses the path: decrypt, transform the query with the same
 password, match its lock units against the vault, and decode the candidates
 as a Reed-Solomon code.  Genuine points are codeword symbols and matched
@@ -170,29 +181,71 @@ def eval_poly(coeffs: Sequence[int], u: int) -> int:
     return acc
 
 
-def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """The unique polynomial of degree below ``len(points)`` through the
-    points, as ``len(points)`` coefficients highest degree first: through
-    nine points, the form :func:`encode_secret` returns.
+# Fewer abscissas than this are cheaper through eval_poly one at a time:
+# measured on CPython 3.11, the lane kernel breaks even between 20 and 28.
+_LANES_MIN = 24
 
-    Newton's divided differences, then expansion of the nested form; in
-    characteristic 2 every subtraction is xor.  Abscissas must be pairwise
-    distinct.
-    """
-    xs = [p[0] for p in points]
-    if len(set(xs)) != len(xs):
-        raise DomainError("interpolation abscissas must be pairwise distinct")
-    exp, log = _GF_EXP, _GF_LOG
+
+def _eval_poly_many(coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
+    """``[eval_poly(coeffs, x) for x in xs]``, a term at a time in lanes of
+    one int; the module docstring gives the lanes and their bounds."""
     n = len(xs)
-    dd = [p[1] for p in points]
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            diff = dd[i] ^ dd[i - 1]
-            # diff / (xs[i] - xs[i - level]); exp is doubled, so the index
+    if n < _LANES_MIN:
+        return [eval_poly(coeffs, x) for x in xs]
+    exp, log = _GF_EXP, _GF_LOG
+    words, halves = f"<{n}I", f"<{n}H"
+    ones = int.from_bytes(b"\1\0\0\0" * n, "little")
+    low = 0xFFFF * ones
+    step = int.from_bytes(struct.pack(words, *itemgetter(*xs)(log)), "little")
+    c0 = coeffs[-1]
+    acc = c0 * int.from_bytes(b"\1\0" * n, "little")
+    power = 0
+    for c in reversed(coeffs[:-1]):
+        power += step
+        power = (power & low) + ((power >> 16) & low)
+        if c:
+            index = struct.unpack(words, (power + log[c] * ones).to_bytes(4 * n, "little"))
+            acc ^= int.from_bytes(struct.pack(halves, *itemgetter(*index)(exp)), "little")
+    out = list(struct.unpack(halves, acc.to_bytes(2 * n, "little")))
+    if 0 in xs:
+        for i, x in enumerate(xs):
+            if not x:
+                out[i] = c0
+    return out
+
+
+# Newton's divided-difference table, grown a point at a time: the abscissas
+# x0..xj so far, the coefficients f[x0..xi] of the nested form, and the last
+# row f[xj], f[x(j-1), xj], ..., f[x0..xj], which is all a new point needs.
+_Newton = tuple[list[int], list[int], list[int]]
+
+
+def _newton_extend(table: _Newton, points: Sequence[tuple[int, int]]) -> None:
+    """Add ``points``, whose abscissas differ from each other and from the
+    table's, to the divided-difference table in place.  In characteristic 2
+    every subtraction is xor."""
+    exp, log = _GF_EXP, _GF_LOG
+    xs, dd, row = table
+    for x, y in points:
+        cur = y  # f[x(j-k)..x] for k = 0, 1, ..., overwriting the old row
+        for k, xp in enumerate(reversed(xs)):
+            diff = cur ^ row[k]
+            row[k] = cur
+            # diff / (x - xp); exp is doubled, so the index
             # log[diff] - log[den] + 65535 stays inside it.
-            dd[i] = exp[log[diff] - log[xs[i] ^ xs[i - level]] + GF_ORDER - 1] if diff else 0
+            cur = exp[log[diff] - log[x ^ xp] + GF_ORDER - 1] if diff else 0
+        row.append(cur)
+        xs.append(x)
+        dd.append(cur)
+
+
+def _newton_expand(table: _Newton) -> list[int]:
+    """The table's interpolant as coefficients, degree ascending."""
+    exp, log = _GF_EXP, _GF_LOG
+    xs, dd, _ = table
     # Expand dd[0] + (x - xs[0])(dd[1] + (x - xs[1])(...)) from the inside
-    # out; coeffs is ascending and coeffs[:degree] holds the inner part.
+    # out; coeffs[:degree] holds the inner part.
+    n = len(xs)
     coeffs = [0] * n
     for degree, i in enumerate(range(n - 1, -1, -1)):
         root = log[xs[i]] if xs[i] else -1
@@ -200,7 +253,23 @@ def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
             c = coeffs[k]
             times_root = exp[log[c] + root] if c and root >= 0 else 0
             coeffs[k] = (coeffs[k - 1] if k else dd[i]) ^ times_root
-    return tuple(reversed(coeffs))
+    return coeffs
+
+
+def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The unique polynomial of degree below ``len(points)`` through the
+    points, as ``len(points)`` coefficients highest degree first: through
+    nine points, the form :func:`encode_secret` returns.
+
+    Newton's divided differences, then expansion of the nested form.
+    Abscissas must be pairwise distinct.
+    """
+    xs = [p[0] for p in points]
+    if len(set(xs)) != len(xs):
+        raise DomainError("interpolation abscissas must be pairwise distinct")
+    table: _Newton = ([], [], [])
+    _newton_extend(table, points)
+    return tuple(reversed(_newton_expand(table)))
 
 
 def _agrees(coeffs: Sequence[int], points: Sequence[tuple[int, int]], need: int) -> bool:
@@ -297,20 +366,24 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
     The interpolant of the first nine is tried first, which settles an
     error-free candidate set without Euclid, and at m <= 10, where no error
     can be corrected, decides.  Otherwise Gao's algorithm (2003) decodes up
-    to floor((m - 9) / 2) errors: interpolate all m points, run the
-    extended Euclidean algorithm on prod(x - a_i), built in place, and that
+    to floor((m - 9) / 2) errors: extend the nine points' divided
+    differences to all m and expand that interpolant, run the extended
+    Euclidean algorithm on prod(x - a_i), built in place, and the
     interpolant until the remainder's degree drops below (m + 9) / 2, and
     divide the remainder by its Bezout coefficient.
     """
     m = len(candidates)
     need = (m + N_COEFFS + 1) // 2
-    coeffs = interpolate(candidates[:N_COEFFS])
+    table: _Newton = ([], [], [])
+    _newton_extend(table, candidates[:N_COEFFS])
+    coeffs = tuple(reversed(_newton_expand(table)))
     if _agrees(coeffs, candidates[N_COEFFS:], need - N_COEFFS):
         return coeffs
     if m <= N_COEFFS + 1:
         return None
     r0 = _root_product([a for a, _ in candidates])
-    r1 = _poly_trim(list(interpolate(candidates)[::-1]))
+    _newton_extend(table, candidates[N_COEFFS:])
+    r1 = _poly_trim(_newton_expand(table))
     v0: list[int] = []
     v1 = [1]
     while 2 * (len(r1) - 1) >= m + N_COEFFS:
@@ -336,7 +409,10 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     words from one ``rng.randbytes`` call.  A pair whose abscissa is taken
     or whose ordinate lies on the polynomial is rejected whole, and the
     shortfall is drawn again the same way: abscissas stay distinct and none
-    genuine, and a chaff point can never masquerade as genuine.
+    genuine, and a chaff point can never masquerade as genuine.  Pairs whose
+    abscissa is already taken are dropped first, the rest evaluated in one
+    lane-parallel :func:`_eval_poly_many` call and accepted in draw order,
+    so a repeat within a draw loses to its first copy, as pair by pair.
     """
     if count + len(genuine_us) > GF_ORDER:
         raise DomainError(f"{count} chaff + {len(genuine_us)} genuine exceed {GF_ORDER} abscissas")
@@ -345,8 +421,9 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     need = count
     while need:
         words = struct.unpack(f">{2 * need}H", rng.randbytes(4 * need))
-        for a, b in zip(words[::2], words[1::2]):
-            if a not in used and b != eval_poly(poly, a):
+        fresh = [p for p in zip(words[::2], words[1::2]) if p[0] not in used]
+        for (a, b), y in zip(fresh, _eval_poly_many(poly, [a for a, _ in fresh])):
+            if a not in used and b != y:
                 used.add(a)
                 chaff.append((a, b))
         need = count - len(chaff)

@@ -5,6 +5,8 @@ carry-less multiply with explicit reduction, term-by-term evaluation) and
 deliberately shares no code with the package.
 """
 
+from collections import namedtuple
+
 GF_MODULUS = 0x1100B
 CRC_POLY = 0x8005
 
@@ -79,6 +81,33 @@ def eval_poly_oracle(coeffs_high_first, u: int) -> int:
     return acc
 
 
+def horner_oracle(coeffs_high_first, u: int) -> int:
+    """Horner's rule with :func:`gf_mul_oracle`: one multiply per coefficient."""
+    acc = 0
+    for c in coeffs_high_first:
+        acc = gf_mul_oracle(acc, u) ^ c
+    return acc
+
+
+def generate_chaff_oracle(genuine_us, poly, count, rng):
+    """The chaff draw pair by pair: the ``count`` missing pairs come from one
+    ``rng.randbytes`` call as big-endian 16-bit words, abscissa then
+    ordinate; a pair is kept, in draw order, iff its abscissa is neither
+    genuine nor taken and its ordinate is off the polynomial, and the
+    shortfall is drawn again the same way."""
+    used = set(genuine_us)
+    chaff = []
+    while len(chaff) < count:
+        data = rng.randbytes(4 * (count - len(chaff)))
+        for i in range(0, len(data), 4):
+            a = int.from_bytes(data[i:i + 2], "big")
+            b = int.from_bytes(data[i + 2:i + 4], "big")
+            if a not in used and b != horner_oracle(poly, a):
+                used.add(a)
+                chaff.append((a, b))
+    return chaff
+
+
 def root_product_oracle(roots):
     """prod(x - a) over ``roots`` as ascending coefficients, folded one
     freshly allocated product per factor: each term of the running product
@@ -149,3 +178,15 @@ def cipher_points_oracle(points, seed: int):
     block per two points; xor is its own inverse."""
     words = _keystream_words(seed, 2 * len(points))
     return [(p[0] ^ next(words), p[1] ^ next(words)) for p in points]
+
+
+Point = namedtuple("Point", "x y")
+
+
+def transform_point_oracle(p, block):
+    """One point translated by (block.tu, block.tv) with wrap-around inside
+    its 128 x 128 quadrant: the quadrant's corner is found first, then the
+    offset inside it moves modulo 128.  Returns a named (x, y) pair."""
+    bx = 128 if p.x >= 128 else 0
+    by = 128 if p.y >= 128 else 0
+    return Point(bx + (p.x - bx + block.tu) % 128, by + (p.y - by + block.tv) % 128)

