@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import security, templates
@@ -84,10 +83,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cp = _password_from_args(args)
     vault = templates.read_vault(Path(args.vault).read_bytes())
     points = _read_template(args.template)
-    params = vault.params
-    if args.epsilon is not None:
-        params = replace(params, epsilon=args.epsilon)
-    secret = open_vault(vault, points, cp, params,
+    secret = open_vault(vault, points, cp, epsilon=args.epsilon,
                         max_combinations=args.max_combinations)
     print(secret.hex())
     return 0

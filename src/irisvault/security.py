@@ -59,11 +59,9 @@ def min_entropy(r: int, c: int, n: int) -> float:
     return analyze(r, c, n).min_entropy_bits
 
 
-def hardened_range(r: int, c: int, n: int,
-                   guess_bits: tuple[float, float] = GUESSING_ENTROPY_BITS) -> tuple[float, float]:
+def hardened_range(r: int, c: int, n: int) -> tuple[float, float]:
     """Vault min-entropy plus the password guessing-entropy bounds."""
-    bits = min_entropy(r, c, n)
-    return (bits + guess_bits[0], bits + guess_bits[1])
+    return analyze(r, c, n).hardened_range_bits
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Persistence for templates and vaults, plus a synthetic point generator.
 
-Templates travel as plain text, one "x y" decimal pair per line, with
-'#' comments and blank lines ignored; hand-editable and diff-friendly.
+Templates travel as plain text, one "x y" pair of ASCII decimal numbers
+per line, with '#' comments and blank lines ignored; hand-editable and
+diff-friendly.
 Vaults travel as a small binary frame so the keystream-xored point
 region stays bit-exact:
 
@@ -37,7 +38,8 @@ PLACEMENT_TRIES = 10_000
 
 
 def parse_template(text: str) -> Template:
-    """Read points in file order; malformed lines fail with their number."""
+    """Read points in file order; malformed lines, coordinates other than
+    ASCII digits among them, fail with their number."""
     points: Template = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -46,10 +48,9 @@ def parse_template(text: str) -> Template:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'x y', got {raw!r}")
-        try:
-            x, y = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer coordinate in {raw!r}") from None
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise FormatError(f"line {lineno}: non-decimal coordinate in {raw!r}")
+        x, y = int(parts[0]), int(parts[1])
         if not (0 <= x < GRID_SIZE and 0 <= y < GRID_SIZE):
             raise FormatError(
                 f"line {lineno}: point ({x}, {y}) outside the {GRID_SIZE}x{GRID_SIZE} space"

@@ -41,7 +41,7 @@ from __future__ import annotations
 import random
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from math import floor, isqrt
 from operator import itemgetter
@@ -133,24 +133,15 @@ class Vault:
 
 def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
     """First ``r`` of the sorted, deduplicated 16-bit units (x << 8) | y;
-    DomainError when the points yield fewer."""
-    units = sorted({(p.x << 8) | p.y for p in points})
-    if len(units) < r:
-        raise DomainError(
-            f"insufficient points: template yields {len(units)} distinct lock units, need {r}"
-        )
-    return units[:r]
+    fewer when the points yield fewer."""
+    return sorted({(x << 8) | y for x, y in points})[:r]
 
 
-def _template_units(template: Template, cp: CombinedPassword, params: VaultParams,
-                    enrol: bool) -> list[int]:
-    """First r lock units of the password-transformed template pruned at d,
-    for enrolment and verification alike.  Enrolment needs all r; a degraded
-    query matches with what it has, so its failure stays an UnlockError."""
-    ready = prune_close(transform_template(template, derive_blocks(cp)), params.d)
-    if enrol:
-        return lock_units(ready, params.r)
-    return sorted({(x << 8) | y for x, y in ready})[:params.r]
+def _template_units(template: Template, cp: CombinedPassword, params: VaultParams) -> list[int]:
+    """Lock units of the password-transformed template pruned at d, for
+    enrolment and verification alike."""
+    return lock_units(prune_close(transform_template(template, derive_blocks(cp)), params.d),
+                      params.r)
 
 
 def encode_secret(payload: bytes) -> tuple[int, ...]:
@@ -183,6 +174,8 @@ def eval_poly(coeffs: Sequence[int], u: int) -> int:
 
 # Fewer abscissas than this are cheaper through eval_poly one at a time:
 # measured on CPython 3.11, the lane kernel breaks even between 20 and 28.
+# The kernel also needs at least two: itemgetter with one key returns the
+# item itself, not a one-element tuple.
 _LANES_MIN = 24
 
 
@@ -489,15 +482,21 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
 
     The template is password-transformed and pruned before its first r
     lock units are taken, so enrollment and query sides always agree on
-    the unit derivation.  ``rng`` drives chaff placement and the final
-    scramble; the same template, secret, password, params, and rng seed
-    reproduce a byte-identical vault.
+    the unit derivation; DomainError when it yields fewer than r.  ``rng``
+    drives chaff placement and the final scramble; the same template,
+    secret, password, params, and rng seed reproduce a byte-identical
+    vault.
     """
     if params is None:
         params = VaultParams()
     if rng is None:
         rng = random.Random()
-    units = _template_units(template, cp, params, enrol=True)
+    units = _template_units(template, cp, params)
+    if len(units) < params.r:
+        raise DomainError(
+            f"insufficient points: template yields {len(units)} distinct lock units, "
+            f"need {params.r}"
+        )
     payload = append_crc(mask_secret(secret, cp))
     poly = encode_secret(payload)
     points = [(u, eval_poly(poly, u)) for u in units]
@@ -541,14 +540,14 @@ def match_candidates(points: Sequence[tuple[int, int]], query_units: Sequence[in
     return hits
 
 
-def open_vault(vault: Vault, query: Template, cp: CombinedPassword,
-               params: VaultParams | None = None,
+def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
+               epsilon: int | None = None,
                max_combinations: int = DEFAULT_MAX_COMBINATIONS) -> bytes:
     """Recover the 16-byte secret from a query template and password.
 
-    ``params`` defaults to the vault's own; passing an override lets a
-    caller widen epsilon without touching the stored header.  The override
-    steers matching only: the vault decrypts under its stored header.  Candidates
+    The query's lock units are derived with the vault's own r and d and
+    matched within its epsilon, or within ``epsilon`` when one is given,
+    which :class:`VaultParams` checks like the stored one.  Candidates
     whose abscissa occurs more than once are dropped (a correct key never
     decrypts two points to one abscissa), and the rest are decoded once as
     a Reed-Solomon code.  The secret is returned only when the decoded
@@ -557,15 +556,16 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword,
     chaff points are tolerated.  ``max_combinations`` caps the decode
     attempts; the decoder makes one, so only a cap of 0 or less stops it.
 
-    Raises UnlockError, with a message naming the case, when fewer than
-    nine candidates remain, when the cap allows no attempt, and when the
-    decode or the checksum fails.
+    Raises DomainError for an ``epsilon`` outside [0, 255].  Raises
+    UnlockError, with a message naming the case, when fewer than nine
+    candidates remain, when the cap allows no attempt, and when the decode
+    or the checksum fails.
     """
-    if params is None:
-        params = vault.params
+    params = vault.params
+    if epsilon is not None:
+        params = replace(params, epsilon=epsilon)
     clear = decrypt_vault(vault, cp)
-    candidates = match_candidates(clear, _template_units(query, cp, params, enrol=False),
-                                  params.epsilon)
+    candidates = match_candidates(clear, _template_units(query, cp, params), params.epsilon)
     abscissas = [p[0] for p in candidates]
     if len(set(abscissas)) < len(abscissas):
         seen = Counter(abscissas)

@@ -123,6 +123,16 @@ class TestEnrollVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_non_ascii_decimal_template_exits_2(self, workspace, capsys):
+        template, vault = workspace
+        assert enroll(template, vault) == 0
+        capsys.readouterr()
+        template.write_text("1_0 2\n" + template.read_text())
+        assert verify(template, vault) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 1") and captured.err.count("\n") == 1
+
     def test_custom_shape(self, workspace, capsys):
         template, vault = workspace
         assert enroll(template, vault, ["--r", "15"]) == 0

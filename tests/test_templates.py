@@ -62,6 +62,13 @@ class TestTemplateText:
         with pytest.raises(FormatError, match="line 2"):
             parse_template("1 2\n3\n")
 
+    @pytest.mark.parametrize("text", ["1_0 2\n", "3 \u0663\n", "+7 9\n", "\uff14 4\n"])
+    def test_non_ascii_decimal_coordinate(self, text):
+        # int() takes each of these: an underscore, a sign, an Arabic-Indic
+        # and a fullwidth digit.
+        with pytest.raises(FormatError, match="line 2: non-decimal coordinate"):
+            parse_template("1 2\n" + text)
+
     def test_write_trivial(self):
         assert write_template([]) == ""
         assert write_template([MinutiaPoint(0, 0)]) == "0 0\n"

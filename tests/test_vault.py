@@ -80,8 +80,9 @@ class TestLockUnits:
         assert len(units) == 20
 
     def test_insufficient(self):
-        with pytest.raises(DomainError, match="insufficient points"):
-            lock_units([MinutiaPoint(0, 1)], 2)
+        # Short of r is build_vault's error to raise; a query matches with
+        # what it has.
+        assert lock_units([MinutiaPoint(0, 1)], 2) == [0x0001]
 
 
 class TestSecretCodec:
@@ -359,16 +360,13 @@ class TestBuildVault:
 def test_template_units_compose_transform_prune_and_lock(template, password, r, d):
     cp, params = CombinedPassword(password), VaultParams(r=r, d=d)
     ready = prune_close(transform_template(template, derive_blocks(cp)), d)
-    assert (_template_units(template, cp, params, enrol=False)
-            == lock_units(ready, min(r, len(set(ready)))))
-    try:
-        expect = lock_units(ready, r)
-    except DomainError as exc:
+    units = _template_units(template, cp, params)
+    assert units == lock_units(ready, r)
+    if len(units) < r:
         with pytest.raises(DomainError) as got:
-            _template_units(template, cp, params, enrol=True)
-        assert str(got.value) == str(exc)
-    else:
-        assert _template_units(template, cp, params, enrol=True) == expect
+            build_vault(template, SECRET, cp, params, random.Random(0))
+        assert str(got.value) == (f"insufficient points: template yields {len(units)} "
+                                  f"distinct lock units, need {r}")
 
 
 class TestMatchCandidates:
@@ -566,7 +564,7 @@ class TestOpenVault:
         edited = read_vault(bytes(blob))
         assert edited.params == VaultParams(epsilon=2)
         # An override widens matching but decrypts under the stored header.
-        assert open_vault(vault, jittered, FUZZY, edited.params) == SECRET
+        assert open_vault(vault, jittered, FUZZY, epsilon=2) == SECRET
         for query in (jittered, template):
             with pytest.raises(UnlockError):
                 open_vault(edited, query, FUZZY)
@@ -574,8 +572,13 @@ class TestOpenVault:
     def test_params_override_epsilon(self):
         template, vault = make_vault(14)
         jittered = [MinutiaPoint(min(255, p.x + 1), p.y) for p in template]
-        wider = VaultParams(epsilon=2)
-        assert open_vault(vault, jittered, FUZZY, wider) == SECRET
+        assert open_vault(vault, jittered, FUZZY, epsilon=2) == SECRET
+
+    @pytest.mark.parametrize("epsilon", [256, -1])
+    def test_epsilon_out_of_range(self, epsilon):
+        template, vault = make_vault(14)
+        with pytest.raises(DomainError, match=rf"^epsilon={epsilon} must be in \[0, 255\]$"):
+            open_vault(vault, template, FUZZY, epsilon=epsilon)
 
 
 @pytest.mark.skipif(importlib.util.find_spec("_sha3") is None,
