@@ -10,8 +10,7 @@ seeds the vault cipher.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -48,57 +47,60 @@ def eye_color_code(color: EyeColor) -> int:
     return _EYE_COLOR_CODES[color]
 
 
-@dataclass(frozen=True)
-class SoftBiometrics:
+class SoftBiometrics(namedtuple("SoftBiometrics", "height_cm eye_color gender")):
     """Height in cm (one byte), eye color, and gender ('M' or 'F')."""
 
-    height_cm: int
-    eye_color: EyeColor
-    gender: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.height_cm <= 255:
-            raise DomainError(f"height {self.height_cm} does not fit in one byte")
-        if not isinstance(self.eye_color, EyeColor):
-            raise DomainError(f"unknown eye color {self.eye_color!r}")
-        if self.gender not in ("M", "F"):
-            raise DomainError(f"gender must be 'M' or 'F', got {self.gender!r}")
+    def __new__(cls, height_cm: int, eye_color: EyeColor, gender: str) -> SoftBiometrics:
+        if not isinstance(height_cm, int) or isinstance(height_cm, bool):
+            raise DomainError(f"height must be an int, not {type(height_cm).__name__}")
+        if not 0 <= height_cm <= 255:
+            raise DomainError(f"height {height_cm} does not fit in one byte")
+        if not isinstance(eye_color, EyeColor):
+            raise DomainError(f"unknown eye color {eye_color!r}")
+        if gender not in ("M", "F"):
+            raise DomainError(f"gender must be 'M' or 'F', got {gender!r}")
+        return super().__new__(cls, height_cm, eye_color, gender)
 
 
-@dataclass(frozen=True)
-class UserPassword:
+class UserPassword(namedtuple("UserPassword", "chars")):
     """Exactly five printable ASCII characters."""
 
-    chars: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.chars) != USER_PASSWORD_LEN:
+    def __new__(cls, chars: str) -> UserPassword:
+        if not isinstance(chars, str):
+            raise DomainError(f"user password must be a str, not {type(chars).__name__}")
+        if len(chars) != USER_PASSWORD_LEN:
             raise DomainError(
-                f"user password must be {USER_PASSWORD_LEN} characters, got {len(self.chars)}"
+                f"user password must be {USER_PASSWORD_LEN} characters, got {len(chars)}"
             )
-        for ch in self.chars:
+        for ch in chars:
             if not 32 <= ord(ch) <= 126:
                 raise DomainError(f"non-printable-ASCII character {ch!r} in password")
+        return super().__new__(cls, chars)
 
 
-@dataclass(frozen=True)
-class CombinedPassword:
+class CombinedPassword(namedtuple("CombinedPassword", "data")):
     """The 8-byte concatenation of soft-biometric and user password bytes."""
 
-    data: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.data) != COMBINED_LEN:
+    def __new__(cls, data: bytes) -> CombinedPassword:
+        if not isinstance(data, bytes):
+            raise DomainError(f"combined password must be bytes, not {type(data).__name__}")
+        if len(data) != COMBINED_LEN:
             raise DomainError(
-                f"combined password must be {COMBINED_LEN} bytes, got {len(self.data)}"
+                f"combined password must be {COMBINED_LEN} bytes, got {len(data)}"
             )
+        return super().__new__(cls, data)
 
 
-class TranslationBlock(NamedTuple):
+class TranslationBlock(namedtuple("TranslationBlock", "tu tv")):
     """Horizontal (7-bit) and vertical (9-bit) translation amounts."""
 
-    tu: int
-    tv: int
+    __slots__ = ()
 
 
 def combine_password(soft: SoftBiometrics, user: UserPassword) -> CombinedPassword:

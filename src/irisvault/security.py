@@ -13,7 +13,7 @@ taken as the fixed range 18 to 30 bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -64,19 +64,12 @@ def hardened_range(r: int, c: int, n: int) -> tuple[float, float]:
     return analyze(r, c, n).hardened_range_bits
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """One row of the security analysis for a vault shape."""
+class EntropyReport(namedtuple("EntropyReport", "r c t n total_combinations required_combinations "
+                                "evaluations min_entropy_bits hardened_range_bits")):
+    """One row of the security analysis for a vault shape: t = r + c, the
+    binomials C(t, n+1) and C(r, n+1) exact, hardened_range_bits (low, high)."""
 
-    r: int
-    c: int
-    t: int
-    n: int
-    total_combinations: int
-    required_combinations: int
-    evaluations: float
-    min_entropy_bits: float
-    hardened_range_bits: tuple[float, float]
+    __slots__ = ()
 
     @property
     def hardened_range_rounded(self) -> tuple[int, int]:

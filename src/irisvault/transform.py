@@ -10,8 +10,9 @@ produces a different, reissuable template from the same biometric.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from math import ceil, inf
-from typing import NamedTuple, Sequence
 
 from .password import TranslationBlock
 
@@ -19,11 +20,10 @@ GRID_SIZE = 256
 QUADRANT_SIZE = 128
 
 
-class MinutiaPoint(NamedTuple):
+class MinutiaPoint(namedtuple("MinutiaPoint", "x y")):
     """One feature point; both coordinates must fit in 8 bits."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
 
 Template = list[MinutiaPoint]

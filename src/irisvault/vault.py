@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import random
 import struct
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from itertools import chain
 from math import floor, isqrt
 from operator import itemgetter
-from typing import Sequence
 
 from .errors import DomainError, UnlockError
 from .fields import (
@@ -76,26 +75,32 @@ DEFAULT_PRUNE_DIST = 4
 DEFAULT_MAX_COMBINATIONS = 2_000_000
 
 
-@dataclass(frozen=True)
-class VaultParams:
+# Each VaultParams field: its name in messages, and its inclusive range.
+_PARAM_RANGES = (
+    ("genuine count r", N_COEFFS, 0xFFFF),
+    ("chaff count c", 0, 0xFFFF),
+    ("pruning distance d", 0, 0xFF),
+    ("epsilon", 0, 0xFF),
+)
+
+
+class VaultParams(namedtuple("VaultParams", "r c d epsilon")):
     """Vault shape: genuine count r, chaff count c, pruning distance d, and
-    the match tolerance epsilon (0 = exact lock units).  The polynomial
-    degree is fixed at POLY_DEGREE."""
+    the match tolerance epsilon (0 = exact lock units), each an int, not a
+    bool, in the range of its header field, or DomainError names the field.
+    The polynomial degree is fixed at POLY_DEGREE."""
 
-    r: int = DEFAULT_GENUINE
-    c: int = DEFAULT_GENUINE * DEFAULT_CHAFF_FACTOR
-    d: int = DEFAULT_PRUNE_DIST
-    epsilon: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not N_COEFFS <= self.r <= 0xFFFF:
-            raise DomainError(f"genuine count r={self.r} must be in [{N_COEFFS}, 65535]")
-        if not 0 <= self.c <= 0xFFFF:
-            raise DomainError(f"chaff count c={self.c} must be in [0, 65535]")
-        if not 0 <= self.d <= 0xFF:
-            raise DomainError(f"pruning distance d={self.d} must be in [0, 255]")
-        if not 0 <= self.epsilon <= 0xFF:
-            raise DomainError(f"epsilon={self.epsilon} must be in [0, 255]")
+    def __new__(cls, r: int = DEFAULT_GENUINE, c: int = DEFAULT_GENUINE * DEFAULT_CHAFF_FACTOR,
+                d: int = DEFAULT_PRUNE_DIST, epsilon: int = 0) -> VaultParams:
+        fields = (r, c, d, epsilon)
+        for (name, lo, hi), value in zip(_PARAM_RANGES, fields):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an int, not {type(value).__name__}")
+            if not lo <= value <= hi:
+                raise DomainError(f"{name}={value} must be in [{lo}, {hi}]")
+        return tuple.__new__(cls, fields)  # as the namedtuple's own __new__ does
 
     @property
     def total(self) -> int:
@@ -116,19 +121,16 @@ def vault_header(params: VaultParams, version: int = VAULT_VERSION) -> bytes:
                              params.r, params.c, params.d, params.epsilon, 0)
 
 
-@dataclass
-class Vault:
-    """Parameters, format version and the points as stored: one
-    :data:`POINT_RECORD` per point, the point region of the vault file,
-    with the keystream xored over it, so without the password the records
-    carry no structure.  The keystream of version 2 (IFV2) is keyed by the
-    header and the password, that of version 1 (IFV1) by the password
-    alone.  :func:`decrypt_vault` returns the clear points as ``(a, b)``
-    tuples."""
+class Vault(namedtuple("Vault", "params records version", defaults=(VAULT_VERSION,))):
+    """Parameters, points as stored and format version: ``records`` holds
+    one :data:`POINT_RECORD` per point, the vault file's point region, with
+    the keystream xored over it, so without the password the records carry
+    no structure.  The keystream of version 2 (IFV2, the default) is keyed
+    by the header and the password, that of version 1 (IFV1) by the
+    password alone.  :func:`decrypt_vault` returns the clear ``(a, b)``
+    points."""
 
-    params: VaultParams
-    records: bytes
-    version: int = VAULT_VERSION
+    __slots__ = ()
 
 
 def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
@@ -546,24 +548,25 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
     """Recover the 16-byte secret from a query template and password.
 
     The query's lock units are derived with the vault's own r and d and
-    matched within its epsilon, or within ``epsilon`` when one is given,
-    which :class:`VaultParams` checks like the stored one.  Candidates
-    whose abscissa occurs more than once are dropped (a correct key never
-    decrypts two points to one abscissa), and the rest are decoded once as
-    a Reed-Solomon code.  The secret is returned only when the decoded
-    polynomial agrees with at least ceil((m + 9) / 2) of the m candidates
-    and its payload passes the CRC, so up to floor((m - 9) / 2) matched
-    chaff points are tolerated.  ``max_combinations`` caps the decode
-    attempts; the decoder makes one, so only a cap of 0 or less stops it.
+    matched within its epsilon, or within ``epsilon`` when one is given:
+    a new :class:`VaultParams` of the vault's r, c and d carries it, and
+    checks it like the stored one.  Candidates whose abscissa occurs more
+    than once are dropped (a correct key never decrypts two points to one
+    abscissa), and the rest are decoded once as a Reed-Solomon code.  The
+    secret is returned only when the decoded polynomial agrees with at
+    least ceil((m + 9) / 2) of the m candidates and its payload passes the
+    CRC, so up to floor((m - 9) / 2) matched chaff points are tolerated.
+    ``max_combinations`` caps the decode attempts; the decoder makes one,
+    so only a cap of 0 or less stops it.
 
-    Raises DomainError for an ``epsilon`` outside [0, 255].  Raises
-    UnlockError, with a message naming the case, when fewer than nine
+    Raises DomainError for an ``epsilon`` that is not an int in [0, 255].
+    Raises UnlockError, with a message naming the case, when fewer than nine
     candidates remain, when the cap allows no attempt, and when the decode
     or the checksum fails.
     """
     params = vault.params
     if epsilon is not None:
-        params = replace(params, epsilon=epsilon)
+        params = VaultParams(params.r, params.c, params.d, epsilon)
     clear = decrypt_vault(vault, cp)
     candidates = match_candidates(clear, _template_units(query, cp, params), params.epsilon)
     abscissas = [p[0] for p in candidates]

@@ -580,6 +580,13 @@ class TestOpenVault:
         with pytest.raises(DomainError, match=rf"^epsilon={epsilon} must be in \[0, 255\]$"):
             open_vault(vault, template, FUZZY, epsilon=epsilon)
 
+    def test_epsilon_must_be_an_int(self):
+        # A header stores epsilon as one byte, so no fractional tolerance is
+        # matched that the vault could not carry.
+        template, vault = make_vault(14)
+        with pytest.raises(DomainError, match="^epsilon must be an int, not float$"):
+            open_vault(vault, template, FUZZY, epsilon=2.5)
+
 
 @pytest.mark.skipif(importlib.util.find_spec("_sha3") is None,
                     reason="SHAKE-128 can only come from hashlib here")
@@ -591,3 +598,14 @@ def test_import_leaves_openssl_unloaded():
         [sys.executable, "-c", "import sys, irisvault; print('_hashlib' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # Each CLI call is a fresh process, so these modules would cost every call.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; before = set(sys.modules); import irisvault.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
