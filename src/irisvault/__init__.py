@@ -22,13 +22,7 @@ from .password import (
     seed_from_password,
 )
 from .security import EntropyReport, analyze, binom, evaluations, hardened_range, min_entropy
-from .templates import (
-    parse_template,
-    read_vault,
-    synth_template,
-    write_template,
-    write_vault,
-)
+from .templates import parse_template, synth_template, write_template
 from .transform import (
     MinutiaPoint,
     Template,
@@ -50,6 +44,8 @@ from .vault import (
     lock_units,
     match_candidates,
     open_vault,
+    read_vault,
+    write_vault,
 )
 
 __version__ = "0.1.0"

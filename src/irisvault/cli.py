@@ -24,7 +24,8 @@ from .password import (
 )
 from .transform import quadrant_of, transform_template
 from .vault import (DEFAULT_CHAFF_FACTOR, DEFAULT_GENUINE, DEFAULT_MAX_COMBINATIONS,
-                    DEFAULT_PRUNE_DIST, POLY_DEGREE, VaultParams, build_vault, open_vault)
+                    DEFAULT_PRUNE_DIST, POLY_DEGREE, VaultParams, build_vault, open_vault,
+                    read_vault, write_vault)
 
 QUADRANT_NAMES = ("I", "II", "III", "IV")
 
@@ -73,7 +74,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     else:
         secret = rng.randbytes(16)
     vault = build_vault(points, secret, cp, params, rng)
-    Path(args.vault).write_bytes(templates.write_vault(vault))
+    Path(args.vault).write_bytes(write_vault(vault))
     print(f"vault written: {args.vault} ({params.total} points)", file=sys.stderr)
     print(secret.hex())
     return 0
@@ -81,7 +82,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cp = _password_from_args(args)
-    vault = templates.read_vault(Path(args.vault).read_bytes())
+    vault = read_vault(Path(args.vault).read_bytes())
     points = _read_template(args.template)
     secret = open_vault(vault, points, cp, epsilon=args.epsilon,
                         max_combinations=args.max_combinations)

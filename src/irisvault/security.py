@@ -29,20 +29,15 @@ def binom(n: int, k: int) -> int:
 
 
 def _check_domain(r: int, c: int, n: int) -> None:
+    for name, value in (("genuine count r", r), ("chaff count c", c), ("polynomial degree n", n)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an int, not {type(value).__name__}")
     if n < 0:
         raise DomainError(f"polynomial degree must be non-negative, got {n}")
     if r < n + 1:
         raise DomainError(f"need r >= n + 1 genuine points, got r={r}, n={n}")
     if c < 0:
         raise DomainError(f"chaff count must be non-negative, got {c}")
-
-
-def _log2_exact(value: int) -> float:
-    # math.log2 overflows above ~2^1023; scale huge ints down first.
-    if value.bit_length() <= 1000:
-        return math.log2(value)
-    shift = value.bit_length() - 64
-    return math.log2(value >> shift) + shift
 
 
 def evaluations(r: int, c: int, n: int) -> float:
@@ -90,7 +85,7 @@ def analyze(r: int, c: int, n: int) -> EntropyReport:
         ratio = total / required
     except OverflowError:
         ratio = math.inf
-    bits = _log2_exact(total) - _log2_exact(required)
+    bits = math.log2(total) - math.log2(required)  # math.log2 takes ints of any size
     return EntropyReport(
         r=r,
         c=c,

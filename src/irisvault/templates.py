@@ -1,21 +1,11 @@
-"""Persistence for templates and vaults, plus a synthetic point generator.
+"""Template text, plus a synthetic point generator.
 
 Templates travel as plain text, one "x y" pair of ASCII decimal numbers
 per line, with '#' comments and blank lines ignored; hand-editable and
-diff-friendly.
-Vaults travel as a small binary frame so the keystream-xored point
-region stays bit-exact:
-
-    magic "IFV2" | version 0x02 | n | r (BE16) | c (BE16) | d | epsilon |
-    4 reserved zero bytes | (r + c) point records of (a BE16, b BE16)
-
-The header is plaintext, but it keys the keystream over the point records
-together with the password, so a header edited after enrolment leaves the
-records undecryptable.  IFV1 frames ("IFV1", version 0x01, same layout,
-keystream keyed by the password alone) are still read and written back
-unchanged.  The synthetic generator stands in for an upstream feature
+diff-friendly.  The synthetic generator stands in for an upstream feature
 extractor, emitting seeded, well-separated points in the 256x256 canonical
-space.
+space.  The vault frame is :mod:`irisvault.vault`'s; its reader and writer
+are re-exported here.
 """
 
 from __future__ import annotations
@@ -24,15 +14,7 @@ import random
 
 from .errors import DomainError, FormatError
 from .transform import GRID_SIZE, MinutiaPoint, Template
-from .vault import (
-    POINT_RECORD,
-    POLY_DEGREE,
-    VAULT_HEADER,
-    VAULT_MAGICS,
-    Vault,
-    VaultParams,
-    vault_header,
-)
+from .vault import read_vault, write_vault  # noqa: F401  (re-exported)
 
 PLACEMENT_TRIES = 10_000
 
@@ -88,37 +70,3 @@ def synth_template(seed: int, count: int, min_dist: float) -> Template:
             )
     return points
 
-
-def write_vault(vault: Vault) -> bytes:
-    """Serialize a vault to the frame of its version: the header, then its
-    records."""
-    return vault_header(vault.params, vault.version) + vault.records
-
-
-def read_vault(data: bytes) -> Vault:
-    """Check an IFV2 or IFV1 frame and return it as a :class:`Vault` of that
-    version, holding the point region as stored, copied to ``bytes`` and not
-    parsed.  Nonzero reserved bytes are a FormatError, so every accepted
-    frame is what write_vault gives back."""
-    if len(data) < VAULT_HEADER.size:
-        raise FormatError(f"stream of {len(data)} bytes is shorter than the header")
-    magic, version, n, r, c, d, epsilon, reserved = VAULT_HEADER.unpack_from(data)
-    if magic not in VAULT_MAGICS.values():
-        raise FormatError(f"bad magic {magic!r}, expected b'IFV2' or b'IFV1'")
-    if VAULT_MAGICS.get(version) != magic:
-        raise FormatError(f"unsupported version {version} for magic {magic!r}")
-    if n != POLY_DEGREE:
-        raise FormatError(f"unsupported polynomial degree {n}")
-    if reserved:
-        raise FormatError(f"reserved header bytes must be zero, got {reserved:08x}")
-    try:
-        params = VaultParams(r=r, c=c, d=d, epsilon=epsilon)
-    except DomainError as exc:
-        raise FormatError(f"invalid parameters in header: {exc}") from None
-    expected = VAULT_HEADER.size + POINT_RECORD.size * params.total
-    if len(data) != expected:
-        raise FormatError(
-            f"point region holds {len(data) - VAULT_HEADER.size} bytes, "
-            f"expected {expected - VAULT_HEADER.size} for {params.total} points"
-        )
-    return Vault(params, bytes(data[VAULT_HEADER.size:]), version)

@@ -9,10 +9,19 @@ header and the password, so a vault whose header was edited decrypts to
 noise.  A :class:`Vault` only ever holds those stored bytes, the point
 region of a vault file; the clear points exist as a plain
 ``list[tuple[int, int]]`` of ``(a, b)`` pairs, abscissa then ordinate,
-between :func:`decrypt_vault` and :func:`encrypt_vault`.  Vaults of the
-older IFV1 format, whose keystream depends on the password alone, still
-decrypt.
+between :func:`decrypt_vault` and :func:`encrypt_vault`.
 A polynomial is a plain tuple of nine coefficients, highest degree first.
+
+A vault file is one frame, which :func:`write_vault` writes and
+:func:`read_vault` checks, so that the records stay bit-exact:
+
+    magic "IFV2" | version 0x02 | n | r (BE16) | c (BE16) | d | epsilon |
+    4 reserved zero bytes | (r + c) point records of (a BE16, b BE16)
+
+The header is plaintext.  r + c is at most 65536, the number of distinct
+abscissas.  IFV1 frames ("IFV1", version 0x01) have the same layout and a
+keystream keyed by the password alone; they are still read, decrypted and
+written back unchanged.
 
 No chaff point may lie on the polynomial, so every drawn abscissa is
 evaluated, a whole draw at once by :func:`_eval_poly_many`.  It sums the
@@ -46,7 +55,7 @@ from itertools import chain
 from math import floor, isqrt
 from operator import itemgetter
 
-from .errors import DomainError, UnlockError
+from .errors import DomainError, FormatError, UnlockError
 from .fields import (
     _GF_EXP,
     _GF_LOG,
@@ -57,7 +66,7 @@ from .fields import (
     append_crc,
 )
 from .password import CombinedPassword, derive_blocks, mask_secret, seed_from_password
-from .transform import MinutiaPoint, Template, prune_close, transform_template
+from .transform import GRID_SIZE, MinutiaPoint, Template, prune_close, transform_template
 
 # As random.py does for _sha512: the builtin module gives the same bytes as
 # hashlib without loading OpenSSL, which costs some 3.6 MB of resident memory.
@@ -87,8 +96,9 @@ _PARAM_RANGES = (
 class VaultParams(namedtuple("VaultParams", "r c d epsilon")):
     """Vault shape: genuine count r, chaff count c, pruning distance d, and
     the match tolerance epsilon (0 = exact lock units), each an int, not a
-    bool, in the range of its header field, or DomainError names the field.
-    The polynomial degree is fixed at POLY_DEGREE."""
+    bool, in the range of its header field, or DomainError names the field;
+    r + c, one abscissa per point, is at most GF_ORDER.  The polynomial
+    degree is fixed at POLY_DEGREE."""
 
     __slots__ = ()
 
@@ -100,6 +110,8 @@ class VaultParams(namedtuple("VaultParams", "r c d epsilon")):
                 raise DomainError(f"{name} must be an int, not {type(value).__name__}")
             if not lo <= value <= hi:
                 raise DomainError(f"{name}={value} must be in [{lo}, {hi}]")
+        if r + c > GF_ORDER:
+            raise DomainError(f"r + c = {r + c} points exceed the {GF_ORDER} distinct abscissas")
         return tuple.__new__(cls, fields)  # as the namedtuple's own __new__ does
 
     @property
@@ -133,17 +145,61 @@ class Vault(namedtuple("Vault", "params records version", defaults=(VAULT_VERSIO
     __slots__ = ()
 
 
+def write_vault(vault: Vault) -> bytes:
+    """Serialize a vault to the frame of its version: the header, then its
+    records."""
+    return vault_header(vault.params, vault.version) + vault.records
+
+
+def read_vault(data: bytes) -> Vault:
+    """Check an IFV2 or IFV1 frame and return it as a :class:`Vault` of that
+    version, holding the point region as stored, copied to ``bytes`` and not
+    parsed.  Nonzero reserved bytes are a FormatError, so every accepted
+    frame is what write_vault gives back."""
+    if len(data) < VAULT_HEADER.size:
+        raise FormatError(f"stream of {len(data)} bytes is shorter than the header")
+    magic, version, n, r, c, d, epsilon, reserved = VAULT_HEADER.unpack_from(data)
+    if magic not in VAULT_MAGICS.values():
+        raise FormatError(f"bad magic {magic!r}, expected b'IFV2' or b'IFV1'")
+    if VAULT_MAGICS.get(version) != magic:
+        raise FormatError(f"unsupported version {version} for magic {magic!r}")
+    if n != POLY_DEGREE:
+        raise FormatError(f"unsupported polynomial degree {n}")
+    if reserved:
+        raise FormatError(f"reserved header bytes must be zero, got {reserved:08x}")
+    try:
+        params = VaultParams(r=r, c=c, d=d, epsilon=epsilon)
+    except DomainError as exc:
+        raise FormatError(f"invalid parameters in header: {exc}") from None
+    expected = VAULT_HEADER.size + POINT_RECORD.size * params.total
+    if len(data) != expected:
+        raise FormatError(
+            f"point region holds {len(data) - VAULT_HEADER.size} bytes, "
+            f"expected {expected - VAULT_HEADER.size} for {params.total} points"
+        )
+    return Vault(params, bytes(data[VAULT_HEADER.size:]), version)
+
+
 def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
     """First ``r`` of the sorted, deduplicated 16-bit units (x << 8) | y;
-    fewer when the points yield fewer."""
+    fewer when the points yield fewer.  DomainError for a point outside the
+    256x256 grid, whose unit would alias another point's."""
+    for x, y in points:
+        if not (0 <= x < GRID_SIZE and 0 <= y < GRID_SIZE):
+            raise DomainError(f"point ({x}, {y}) outside the {GRID_SIZE}x{GRID_SIZE} grid")
+    return _lock_units(points, r)
+
+
+def _lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
     return sorted({(x << 8) | y for x, y in points})[:r]
 
 
 def _template_units(template: Template, cp: CombinedPassword, params: VaultParams) -> list[int]:
     """Lock units of the password-transformed template pruned at d, for
-    enrolment and verification alike."""
-    return lock_units(prune_close(transform_template(template, derive_blocks(cp)), params.d),
-                      params.r)
+    enrolment and verification alike.  Transformed points always lie on the
+    grid, so the units skip :func:`lock_units`' check."""
+    return _lock_units(prune_close(transform_template(template, derive_blocks(cp)), params.d),
+                       params.r)
 
 
 def encode_secret(payload: bytes) -> tuple[int, ...]:

@@ -133,3 +133,27 @@ def test_subset_counting_model_small_instances():
             total += 1
             all_genuine += all(labels[i] == "genuine" for i in subset)
         assert Fraction(all_genuine, total) == Fraction(binom(r, n + 1), binom(r + c, n + 1))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((20, True, 8), "chaff count c must be an int, not bool"),
+    ((20.0, 200, 8), "genuine count r must be an int, not float"),
+    ((20, 200, 8.0), "polynomial degree n must be an int, not float"),
+    ((False, 200, 0), "genuine count r must be an int, not bool"),
+])
+def test_shape_must_be_ints(args, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        analyze(*args)
+
+
+def test_beyond_float_range():
+    # C(62000, 1001) has thousands of bits: the ratio overflows a float,
+    # and the bits come from the exact binomials.
+    def log2_binom(t, k):
+        return (math.lgamma(t + 1) - math.lgamma(k + 1) - math.lgamma(t - k + 1)) / math.log(2)
+
+    report = analyze(2000, 60000, 1000)
+    assert report.total_combinations.bit_length() > 1024
+    assert report.evaluations == math.inf
+    assert report.min_entropy_bits == pytest.approx(
+        log2_binom(62000, 1001) - log2_binom(2000, 1001), abs=1e-6)

@@ -16,6 +16,8 @@ from irisvault.templates import (
     write_template,
     write_vault,
 )
+import irisvault.templates
+import irisvault.vault
 from irisvault.transform import MinutiaPoint
 from irisvault.vault import Vault, VaultParams, build_vault, open_vault
 
@@ -39,6 +41,16 @@ def vault_like_frames(draw):
                        draw(st.one_of(st.just(bytes(4)), st.binary(min_size=4, max_size=4))))
     size = max(0, 4 * (r + c) + draw(st.sampled_from((0, 0, -1, 1))))
     return head + draw(st.binary(min_size=size, max_size=size))
+
+
+@st.composite
+def vaults(draw):
+    """Vaults of any valid shape with few points, in either version, their
+    records drawn at random."""
+    params = draw(st.builds(VaultParams, st.integers(9, 40), st.integers(0, 40),
+                            st.integers(0, 255), st.integers(0, 255)))
+    records = draw(st.binary(min_size=4 * params.total, max_size=4 * params.total))
+    return Vault(params, records, draw(st.sampled_from((1, 2))))
 
 
 class TestTemplateText:
@@ -230,3 +242,16 @@ class TestVaultFrame:
         blob[6:8] = (0).to_bytes(2, "big")  # r = 0 is below the minimum
         with pytest.raises(FormatError, match="parameters"):
             read_vault(bytes(blob))
+
+    @given(vaults())
+    @example(Vault(VaultParams(r=20, c=65516, d=255, epsilon=255), bytes(4 * 65536), 2))
+    def test_frame_round_trip(self, vault):
+        assert irisvault.templates.read_vault is irisvault.vault.read_vault
+        assert irisvault.templates.write_vault is irisvault.vault.write_vault
+        assert read_vault(write_vault(vault)) == vault
+
+    def test_header_beyond_the_abscissa_count(self):
+        # Full length for its header, so that only the bound rejects it.
+        blob = struct.pack(">4sBBHHBBI", b"IFV2", 2, 8, 9, 65528, 4, 0, 0) + bytes(4 * 65537)
+        with pytest.raises(FormatError, match=r"^invalid parameters in header: r \+ c = 65537 "):
+            read_vault(blob)

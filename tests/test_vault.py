@@ -84,6 +84,22 @@ class TestLockUnits:
         # what it has.
         assert lock_units([MinutiaPoint(0, 1)], 2) == [0x0001]
 
+    @pytest.mark.parametrize("x, y", [(300, 5), (5, 256), (-1, 0)])
+    def test_point_off_the_grid(self, x, y):
+        # (300, 5) would give unit 76805, beyond 16 bits; (5, 256) would
+        # alias (6, 0).
+        with pytest.raises(DomainError, match=rf"^point \({x}, {y}\) outside the 256x256 grid$"):
+            lock_units([MinutiaPoint(0, 1), MinutiaPoint(x, y)], 20)
+
+
+class TestVaultParams:
+    @pytest.mark.parametrize("r, c", [(9, 65527), (20, 65516), (65535, 1)])
+    def test_at_most_one_point_per_abscissa(self, r, c):
+        assert VaultParams(r=r, c=c).total == GF_ORDER
+        with pytest.raises(DomainError,
+                           match=r"^r \+ c = 65537 points exceed the 65536 distinct abscissas$"):
+            VaultParams(r=r, c=c + 1)
+
 
 class TestSecretCodec:
     def test_zero_payload(self):
@@ -336,8 +352,9 @@ class TestBuildVault:
         assert decrypt_vault(Vault(VaultParams(), stored, version=1), cp) == pairs
 
     @given(st.binary(min_size=8, max_size=8),
-           st.builds(VaultParams, st.integers(9, 0xFFFF), st.integers(0, 0xFFFF),
-                     st.integers(0, 255), st.integers(0, 255)),
+           st.integers(9, 0xFFFF).flatmap(lambda r: st.builds(
+               VaultParams, st.just(r), st.integers(0, GF_ORDER - r),
+               st.integers(0, 255), st.integers(0, 255))),
            st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)), max_size=300))
     @example(bytes(8), VaultParams(r=21), [(0, 0)] * 221)
     def test_ifv2_records_are_shake_keystream(self, password, params, pairs):
