@@ -180,13 +180,21 @@ def read_vault(data: bytes) -> Vault:
     return Vault(params, bytes(data[VAULT_HEADER.size:]), version)
 
 
-def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
-    """First ``r`` of the sorted, deduplicated 16-bit units (x << 8) | y;
-    fewer when the points yield fewer.  DomainError for a point outside the
-    256x256 grid, whose unit would alias another point's."""
+def _check_grid(points: Sequence[MinutiaPoint]) -> None:
+    """DomainError unless every coordinate is an int on the 256x256 grid."""
     for x, y in points:
+        if type(x) is not int or type(y) is not int:
+            raise DomainError(f"point ({x!r}, {y!r}) must have int coordinates")
         if not (0 <= x < GRID_SIZE and 0 <= y < GRID_SIZE):
             raise DomainError(f"point ({x}, {y}) outside the {GRID_SIZE}x{GRID_SIZE} grid")
+
+
+def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
+    """First ``r`` of the sorted, deduplicated 16-bit units (x << 8) | y;
+    fewer when the points yield fewer.  DomainError for a point that is not
+    a pair of ints on the 256x256 grid, whose unit would alias another
+    point's or not be one."""
+    _check_grid(points)
     return _lock_units(points, r)
 
 
@@ -196,8 +204,10 @@ def _lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
 
 def _template_units(template: Template, cp: CombinedPassword, params: VaultParams) -> list[int]:
     """Lock units of the password-transformed template pruned at d, for
-    enrolment and verification alike.  Transformed points always lie on the
-    grid, so the units skip :func:`lock_units`' check."""
+    enrolment and verification alike.  The raw template is checked as
+    :func:`lock_units` checks points, since the quadrant wrap would fold an
+    off-grid point back onto the grid; transformed points need no check."""
+    _check_grid(template)
     return _lock_units(prune_close(transform_template(template, derive_blocks(cp)), params.d),
                        params.r)
 
@@ -290,20 +300,26 @@ def _newton_extend(table: _Newton, points: Sequence[tuple[int, int]]) -> None:
         dd.append(cur)
 
 
+def _times_linear(p: list[int], a: int) -> None:
+    """Multiply ``p``, degree ascending, by (x - a) in place on the log tables."""
+    p.insert(0, 0)  # times x: all a root 0 needs
+    if a:
+        exp, log = _GF_EXP, _GF_LOG
+        la = log[a]
+        for j in range(len(p) - 1):  # add a times the old p, read before overwritten
+            c = p[j + 1]
+            if c:
+                p[j] ^= exp[log[c] + la]
+
+
 def _newton_expand(table: _Newton) -> list[int]:
     """The table's interpolant as coefficients, degree ascending."""
-    exp, log = _GF_EXP, _GF_LOG
     xs, dd, _ = table
-    # Expand dd[0] + (x - xs[0])(dd[1] + (x - xs[1])(...)) from the inside
-    # out; coeffs[:degree] holds the inner part.
-    n = len(xs)
-    coeffs = [0] * n
-    for degree, i in enumerate(range(n - 1, -1, -1)):
-        root = log[xs[i]] if xs[i] else -1
-        for k in range(degree, -1, -1):
-            c = coeffs[k]
-            times_root = exp[log[c] + root] if c and root >= 0 else 0
-            coeffs[k] = (coeffs[k - 1] if k else dd[i]) ^ times_root
+    # dd[0] + (x - xs[0])(dd[1] + (x - xs[1])(...)), from the inside out.
+    coeffs = dd[-1:]
+    for i in range(len(xs) - 2, -1, -1):
+        _times_linear(coeffs, xs[i])
+        coeffs[0] ^= dd[i]
     return coeffs
 
 
@@ -346,44 +362,17 @@ def _poly_trim(p: list[int]) -> list[int]:
     return p
 
 
-def _poly_add(p: list[int], q: list[int]) -> list[int]:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] ^= c
-    return _poly_trim(out)
-
-
-def _root_product(roots: Sequence[int]) -> list[int]:
-    """prod(x - a) over ``roots``, built in place one factor at a time on
-    the log tables: shift up, which is all a root 0 needs, then add a times
-    the old product, each coefficient read just before it is overwritten."""
+def _poly_addmul(s: list[int], p: list[int], q: list[int]) -> list[int]:
+    """``s + p * q`` as a new list, trimmed."""
     exp, log = _GF_EXP, _GF_LOG
-    prod = [1]
-    for a in roots:
-        prod.insert(0, 0)
-        if a:
-            la = log[a]
-            for j in range(len(prod) - 1):
-                c = prod[j + 1]
-                if c:
-                    prod[j] ^= exp[log[c] + la]
-    return prod
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    if not p or not q:
-        return []
-    exp, log = _GF_EXP, _GF_LOG
-    out = [0] * (len(p) + len(q) - 1)
+    out = s + [0] * (len(p) + len(q) - 1 - len(s))
     q_logs = [(j, log[c]) for j, c in enumerate(q) if c]
     for i, a in enumerate(p):
         if a:
             la = log[a]
             for j, lb in q_logs:
                 out[i + j] ^= exp[la + lb]
-    return out
+    return _poly_trim(out)
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -415,13 +404,15 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
     agreement the polynomial is unique (two distinct ones share at most
     eight points), so the answer does not depend on the candidates' order.
     The interpolant of the first nine is tried first, which settles an
-    error-free candidate set without Euclid, and at m <= 10, where no error
-    can be corrected, decides.  Otherwise Gao's algorithm (2003) decodes up
-    to floor((m - 9) / 2) errors: extend the nine points' divided
-    differences to all m and expand that interpolant, run the extended
-    Euclidean algorithm on prod(x - a_i), built in place, and the
-    interpolant until the remainder's degree drops below (m + 9) / 2, and
-    divide the remainder by its Bezout coefficient.
+    error-free candidate set without Euclid.  Otherwise Gao's algorithm
+    (2003) decodes up to floor((m - 9) / 2) errors: extend the nine points'
+    divided differences to all m and expand that interpolant, run the
+    extended Euclidean algorithm on prod(x - a_i) and the interpolant until
+    the remainder's degree drops below (m + 9) / 2, and divide the remainder
+    by its Bezout coefficient.  At m <= 10, where no error can be corrected,
+    Gao rejects by itself: the interpolant, of degree at most m - 1, is
+    already below (m + 9) / 2, so Euclid takes no step and the quotient is
+    the interpolant, of degree m - 1 > 8 once the nine-point check failed.
     """
     m = len(candidates)
     need = (m + N_COEFFS + 1) // 2
@@ -430,9 +421,9 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
     coeffs = tuple(reversed(_newton_expand(table)))
     if _agrees(coeffs, candidates[N_COEFFS:], need - N_COEFFS):
         return coeffs
-    if m <= N_COEFFS + 1:
-        return None
-    r0 = _root_product([a for a, _ in candidates])
+    r0 = [1]
+    for a, _ in candidates:
+        _times_linear(r0, a)
     _newton_extend(table, candidates[N_COEFFS:])
     r1 = _poly_trim(_newton_expand(table))
     v0: list[int] = []
@@ -440,7 +431,7 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
     while 2 * (len(r1) - 1) >= m + N_COEFFS:
         quot, rem = _poly_divmod(r0, r1)
         r0, r1 = r1, rem
-        v0, v1 = v1, _poly_add(v0, _poly_mul(quot, v1))
+        v0, v1 = v1, _poly_addmul(v0, quot, v1)
     f, rem = _poly_divmod(r1, v1)
     if rem or len(f) > N_COEFFS:
         return None
@@ -540,7 +531,8 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
 
     The template is password-transformed and pruned before its first r
     lock units are taken, so enrollment and query sides always agree on
-    the unit derivation; DomainError when it yields fewer than r.  ``rng``
+    the unit derivation; DomainError when it yields fewer than r, or for a
+    point that is not a pair of ints on the 256x256 grid.  ``rng``
     drives chaff placement and the final scramble; the same template,
     secret, password, params, and rng seed reproduce a byte-identical
     vault.
@@ -615,7 +607,8 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
     ``max_combinations`` caps the decode attempts; the decoder makes one,
     so only a cap of 0 or less stops it.
 
-    Raises DomainError for an ``epsilon`` that is not an int in [0, 255].
+    Raises DomainError for an ``epsilon`` that is not an int in [0, 255], and
+    for a query point that is not a pair of ints on the 256x256 grid.
     Raises UnlockError, with a message naming the case, when fewer than nine
     candidates remain, when the cap allows no attempt, and when the decode
     or the checksum fails.

@@ -48,6 +48,8 @@ def test_invalid_inputs():
         SoftBiometrics(300, EyeColor.BROWN, "M")
     with pytest.raises(DomainError, match="gender must be"):
         SoftBiometrics(155, EyeColor.BROWN, "X")
+    with pytest.raises(DomainError, match="^unknown eye color 'brown'$"):
+        SoftBiometrics(150, "brown", "M")
     with pytest.raises(DomainError, match="combined password must be 8 bytes"):
         CombinedPassword(bytes(7))
 

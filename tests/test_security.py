@@ -146,6 +146,11 @@ def test_shape_must_be_ints(args, message):
         analyze(*args)
 
 
+def test_negative_degree():
+    with pytest.raises(DomainError, match=r"^polynomial degree must be non-negative, got -1$"):
+        analyze(20, 200, -1)
+
+
 def test_beyond_float_range():
     # C(62000, 1001) has thousands of bits: the ratio overflows a float,
     # and the bits come from the exact binomials.

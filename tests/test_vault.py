@@ -25,9 +25,9 @@ from irisvault.vault import (
     _eval_poly_many,
     _newton_expand,
     _newton_extend,
-    _root_product,
     _rs_decode,
     _template_units,
+    _times_linear,
     build_vault,
     decode_secret,
     decrypt_vault,
@@ -90,6 +90,10 @@ class TestLockUnits:
         # alias (6, 0).
         with pytest.raises(DomainError, match=rf"^point \({x}, {y}\) outside the 256x256 grid$"):
             lock_units([MinutiaPoint(0, 1), MinutiaPoint(x, y)], 20)
+
+    def test_point_not_int(self):
+        with pytest.raises(DomainError, match=r"^point \(1\.5, 2\) must have int coordinates$"):
+            lock_units([MinutiaPoint(1.5, 2)], 20)
 
 
 class TestVaultParams:
@@ -322,6 +326,20 @@ class TestBuildVault:
         with pytest.raises(DomainError, match="insufficient points"):
             build_vault(template, SECRET, FUZZY, rng=random.Random(0))
 
+    def test_default_rng_draws_a_fresh_vault(self):
+        template = synth_template(16, 20, 4)
+        a = build_vault(template, SECRET, FUZZY)
+        b = build_vault(template, SECRET, FUZZY)
+        assert a != b
+        assert open_vault(a, template, FUZZY) == open_vault(b, template, FUZZY) == SECRET
+
+    def test_template_point_off_the_grid(self):
+        # The quadrant wrap would fold (300, 5) back onto the grid, so the
+        # raw template is checked before it is transformed.
+        template = synth_template(0, 20, 4) + [MinutiaPoint(300, 5)]
+        with pytest.raises(DomainError, match=r"^point \(300, 5\) outside the 256x256 grid$"):
+            build_vault(template, SECRET, FUZZY, rng=random.Random(0))
+
     def test_any_nine_genuine_points_interpolate_back(self):
         _, vault = make_vault(15)
         clear = decrypt_vault(vault, FUZZY)
@@ -486,12 +504,24 @@ class TestRsDecode:
                     unique=True))
     @settings(deadline=None)
     def test_root_product_agrees_with_oracle(self, roots):
-        assert _root_product(roots) == root_product_oracle(roots)
+        prod = [1]
+        for a in roots:
+            _times_linear(prod, a)
+        assert prod == root_product_oracle(roots)
+
+    @pytest.mark.parametrize("zeros, expect", [(15, (0,) * 9), (14, None)])
+    def test_euclid_remainder_reaches_zero(self, zeros, expect):
+        # The nonzero ordinates sit on the lowest abscissas, so the first
+        # nine fail and Gao runs.  With 15 zeros its remainder reaches the
+        # zero polynomial, which has the 15 agreements m = 20 needs; with 14
+        # it falls one short.
+        points = [(x, 0x1234 if x <= 20 - zeros else 0) for x in range(1, 21)]
+        assert _rs_decode(points) == expect
 
     def test_ten_candidates_one_off_the_curve(self):
         # At m = 10 no error is correctable: whether the bad point is among
         # the first nine or is the tenth, no polynomial agrees with all ten,
-        # as Gao's decoder also found when it ran at this m.
+        # and Gao's decoder, which then runs, rejects by itself.
         coeffs = (7, 0, 0, 0, 0, 0, 0, 1, 0x1234)
         points = [(x, eval_poly_oracle(coeffs, x)) for x in range(10)]
         assert _rs_decode(points) == coeffs
@@ -508,6 +538,11 @@ class TestOpenVault:
         template, vault = make_vault(11)
         with pytest.raises(UnlockError):
             open_vault(vault, template, TOKEN)
+
+    def test_query_point_not_int(self):
+        template, vault = make_vault(14)
+        with pytest.raises(DomainError, match=r"^point \(1\.5, 2\) must have int coordinates$"):
+            open_vault(vault, template + [MinutiaPoint(1.5, 2)], FUZZY)
 
     def test_small_query_insufficient_candidates(self):
         template, vault = make_vault(12)
