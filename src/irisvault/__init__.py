@@ -8,7 +8,7 @@ secret and keys the stored vault.  ``security`` quantifies the result in
 min-entropy bits.
 """
 
-from .errors import DomainError, FormatError, IrisVaultError, UnlockError
+from .errors import DomainError, IrisVaultError, UnlockError
 from .password import (
     CombinedPassword,
     EyeColor,
@@ -17,11 +17,9 @@ from .password import (
     UserPassword,
     combine_password,
     derive_blocks,
-    eye_color_code,
     mask_secret,
-    seed_from_password,
 )
-from .security import EntropyReport, analyze, binom, evaluations, hardened_range, min_entropy
+from .security import EntropyReport, analyze
 from .templates import parse_template, synth_template, write_template
 from .transform import (
     MinutiaPoint,
@@ -41,7 +39,6 @@ from .vault import (
     eval_poly,
     generate_chaff,
     interpolate,
-    lock_units,
     match_candidates,
     open_vault,
     read_vault,

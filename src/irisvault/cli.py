@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import security, templates
-from .errors import DomainError, FormatError, IrisVaultError, UnlockError
+from .errors import DomainError, IrisVaultError, UnlockError
 from .password import (
     CombinedPassword,
     EyeColor,
@@ -55,7 +55,7 @@ def _read_template(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        raise DomainError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     return templates.parse_template(text)
 
 

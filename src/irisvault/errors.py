@@ -1,11 +1,11 @@
 """Exception hierarchy for the irisvault package.
 
-Callers tell four cases apart.  ``IrisVaultError`` is the root;
-``DomainError`` marks an argument outside what an operation accepts,
-``FormatError`` a malformed template file or vault byte stream, and
-``UnlockError`` a vault decode that came up empty.  The message says which
-check failed.  The CLI maps ``UnlockError`` to exit code 1 (authentication
-failure) and every other error to exit code 2 (bad input or parameters).
+Callers tell two cases apart.  ``IrisVaultError`` is the root;
+``DomainError`` marks input outside what an operation accepts, a malformed
+template file or vault byte stream among it, and ``UnlockError`` a vault
+decode that came up empty.  The message says which check failed.  The CLI
+maps ``UnlockError`` to exit code 1 (authentication failure) and every
+other error to exit code 2 (bad input or parameters).
 """
 
 
@@ -16,12 +16,9 @@ class IrisVaultError(Exception):
 class DomainError(IrisVaultError):
     """An argument falls outside what the operation accepts: a wrong byte
     length, an invalid password, too few template points, a full abscissa
-    space, repeated interpolation abscissas, an impossible point spacing."""
-
-
-class FormatError(IrisVaultError):
-    """A template file or vault byte stream is malformed; the message names
-    the offending line or header field."""
+    space, repeated interpolation abscissas, an impossible point spacing, or
+    a malformed template line or vault header field, which the message
+    names."""
 
 
 class UnlockError(IrisVaultError):

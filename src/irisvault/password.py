@@ -3,8 +3,8 @@
 The 64-bit combined password concatenates three soft-biometric bytes
 (height, an eye-color character code, a gender character) with a 5-character
 user password.  Split big-endian into four 16-bit blocks, it drives the
-per-quadrant template translation; whole, it masks the vault secret and
-seeds the vault cipher.
+per-quadrant template translation; whole, it masks the vault secret, and
+:mod:`irisvault.vault` keys the vault's keystream with it.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ from .errors import DomainError
 
 USER_PASSWORD_LEN = 5
 COMBINED_LEN = 8
-
-# Keystream states must be nonzero, so an all-zero password falls back to
-# this documented constant.
-ZERO_SEED_FALLBACK = 0x9E3779B97F4A7C15
 
 
 class EyeColor(enum.Enum):
@@ -40,11 +36,6 @@ _EYE_COLOR_CODES = {
     EyeColor.GREEN: ord("N"),
     EyeColor.HAZEL: ord("H"),
 }
-
-
-def eye_color_code(color: EyeColor) -> int:
-    """ASCII value of the single-character code assigned to ``color``."""
-    return _EYE_COLOR_CODES[color]
 
 
 class SoftBiometrics(namedtuple("SoftBiometrics", "height_cm eye_color gender")):
@@ -105,7 +96,7 @@ class TranslationBlock(namedtuple("TranslationBlock", "tu tv")):
 
 def combine_password(soft: SoftBiometrics, user: UserPassword) -> CombinedPassword:
     """Concatenate [height, eye-color code, gender] with the user password."""
-    head = bytes((soft.height_cm, eye_color_code(soft.eye_color), ord(soft.gender)))
+    head = bytes((soft.height_cm, _EYE_COLOR_CODES[soft.eye_color], ord(soft.gender)))
     return CombinedPassword(head + user.chars.encode("ascii"))
 
 
@@ -132,9 +123,3 @@ def mask_secret(secret: bytes, cp: CombinedPassword) -> bytes:
         raise DomainError(f"secret must be 16 bytes, got {len(secret)}")
     pad = cp.data * 2
     return bytes(s ^ p for s, p in zip(secret, pad))
-
-
-def seed_from_password(cp: CombinedPassword) -> int:
-    """Big-endian 64-bit seed for the vault cipher; never zero."""
-    seed = int.from_bytes(cp.data, "big")
-    return seed if seed != 0 else ZERO_SEED_FALLBACK

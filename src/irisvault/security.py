@@ -7,7 +7,8 @@ exact integers (C(220, 9) is only ~2.8e15) and converted to bits at the
 end, so reported figures carry no accumulated rounding.
 
 Password hardening adds the guessing entropy of the combined password,
-taken as the fixed range 18 to 30 bits.
+taken as the fixed range 18 to 30 bits.  :func:`analyze` returns every
+figure at once, as the fields of one :class:`EntropyReport`.
 """
 
 from __future__ import annotations
@@ -21,13 +22,6 @@ from .errors import DomainError
 GUESSING_ENTROPY_BITS = (18.0, 30.0)
 
 
-def binom(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); requires 0 <= k <= n."""
-    if k < 0 or k > n:
-        raise DomainError(f"binom requires 0 <= k <= n, got n={n}, k={k}")
-    return math.comb(n, k)
-
-
 def _check_domain(r: int, c: int, n: int) -> None:
     for name, value in (("genuine count r", r), ("chaff count c", c), ("polynomial degree n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -38,25 +32,6 @@ def _check_domain(r: int, c: int, n: int) -> None:
         raise DomainError(f"need r >= n + 1 genuine points, got r={r}, n={n}")
     if c < 0:
         raise DomainError(f"chaff count must be non-negative, got {c}")
-
-
-def evaluations(r: int, c: int, n: int) -> float:
-    """Expected reconstructions for a brute-force attacker: C(t,n+1)/C(r,n+1)."""
-    return analyze(r, c, n).evaluations
-
-
-def min_entropy(r: int, c: int, n: int) -> float:
-    """Security of the template given the vault, in bits.
-
-    -log2 of the probability that a uniformly chosen (n+1)-subset of the
-    t = r + c vault points is all-genuine.
-    """
-    return analyze(r, c, n).min_entropy_bits
-
-
-def hardened_range(r: int, c: int, n: int) -> tuple[float, float]:
-    """Vault min-entropy plus the password guessing-entropy bounds."""
-    return analyze(r, c, n).hardened_range_bits
 
 
 class EntropyReport(namedtuple("EntropyReport", "r c t n total_combinations required_combinations "
@@ -79,8 +54,8 @@ def analyze(r: int, c: int, n: int) -> EntropyReport:
     """Assemble the full entropy report for a vault shape, computing each
     binomial once."""
     _check_domain(r, c, n)
-    total = binom(r + c, n + 1)
-    required = binom(r, n + 1)
+    total = math.comb(r + c, n + 1)
+    required = math.comb(r, n + 1)
     try:
         ratio = total / required
     except OverflowError:

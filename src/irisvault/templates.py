@@ -4,17 +4,15 @@ Templates travel as plain text, one "x y" pair of ASCII decimal numbers
 per line, with '#' comments and blank lines ignored; hand-editable and
 diff-friendly.  The synthetic generator stands in for an upstream feature
 extractor, emitting seeded, well-separated points in the 256x256 canonical
-space.  The vault frame is :mod:`irisvault.vault`'s; its reader and writer
-are re-exported here.
+space.  The vault file frame lives in :mod:`irisvault.vault`.
 """
 
 from __future__ import annotations
 
 import random
 
-from .errors import DomainError, FormatError
+from .errors import DomainError
 from .transform import GRID_SIZE, MinutiaPoint, Template
-from .vault import read_vault, write_vault  # noqa: F401  (re-exported)
 
 PLACEMENT_TRIES = 10_000
 
@@ -29,12 +27,12 @@ def parse_template(text: str) -> Template:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise FormatError(f"line {lineno}: expected 'x y', got {raw!r}")
+            raise DomainError(f"line {lineno}: expected 'x y', got {raw!r}")
         if not all(part.isascii() and part.isdigit() for part in parts):
-            raise FormatError(f"line {lineno}: non-decimal coordinate in {raw!r}")
+            raise DomainError(f"line {lineno}: non-decimal coordinate in {raw!r}")
         x, y = int(parts[0]), int(parts[1])
         if not (0 <= x < GRID_SIZE and 0 <= y < GRID_SIZE):
-            raise FormatError(
+            raise DomainError(
                 f"line {lineno}: point ({x}, {y}) outside the {GRID_SIZE}x{GRID_SIZE} space"
             )
         points.append(MinutiaPoint(x, y))

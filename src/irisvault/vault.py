@@ -55,7 +55,7 @@ from itertools import chain
 from math import floor, isqrt
 from operator import itemgetter
 
-from .errors import DomainError, FormatError, UnlockError
+from .errors import DomainError, UnlockError
 from .fields import (
     _GF_EXP,
     _GF_LOG,
@@ -65,8 +65,8 @@ from .fields import (
     check_crc,
     append_crc,
 )
-from .password import CombinedPassword, derive_blocks, mask_secret, seed_from_password
-from .transform import GRID_SIZE, MinutiaPoint, Template, prune_close, transform_template
+from .password import CombinedPassword, derive_blocks, mask_secret
+from .transform import GRID_SIZE, Template, prune_close, transform_template
 
 # As random.py does for _sha512: the builtin module gives the same bytes as
 # hashlib without loading OpenSSL, which costs some 3.6 MB of resident memory.
@@ -154,62 +154,47 @@ def write_vault(vault: Vault) -> bytes:
 def read_vault(data: bytes) -> Vault:
     """Check an IFV2 or IFV1 frame and return it as a :class:`Vault` of that
     version, holding the point region as stored, copied to ``bytes`` and not
-    parsed.  Nonzero reserved bytes are a FormatError, so every accepted
-    frame is what write_vault gives back."""
+    parsed.  Nonzero reserved bytes are a DomainError, as is every other
+    malformed frame, so every accepted frame is what write_vault gives
+    back."""
     if len(data) < VAULT_HEADER.size:
-        raise FormatError(f"stream of {len(data)} bytes is shorter than the header")
+        raise DomainError(f"stream of {len(data)} bytes is shorter than the header")
     magic, version, n, r, c, d, epsilon, reserved = VAULT_HEADER.unpack_from(data)
     if magic not in VAULT_MAGICS.values():
-        raise FormatError(f"bad magic {magic!r}, expected b'IFV2' or b'IFV1'")
+        raise DomainError(f"bad magic {magic!r}, expected b'IFV2' or b'IFV1'")
     if VAULT_MAGICS.get(version) != magic:
-        raise FormatError(f"unsupported version {version} for magic {magic!r}")
+        raise DomainError(f"unsupported version {version} for magic {magic!r}")
     if n != POLY_DEGREE:
-        raise FormatError(f"unsupported polynomial degree {n}")
+        raise DomainError(f"unsupported polynomial degree {n}")
     if reserved:
-        raise FormatError(f"reserved header bytes must be zero, got {reserved:08x}")
+        raise DomainError(f"reserved header bytes must be zero, got {reserved:08x}")
     try:
         params = VaultParams(r=r, c=c, d=d, epsilon=epsilon)
     except DomainError as exc:
-        raise FormatError(f"invalid parameters in header: {exc}") from None
+        raise DomainError(f"invalid parameters in header: {exc}") from None
     expected = VAULT_HEADER.size + POINT_RECORD.size * params.total
     if len(data) != expected:
-        raise FormatError(
+        raise DomainError(
             f"point region holds {len(data) - VAULT_HEADER.size} bytes, "
             f"expected {expected - VAULT_HEADER.size} for {params.total} points"
         )
     return Vault(params, bytes(data[VAULT_HEADER.size:]), version)
 
 
-def _check_grid(points: Sequence[MinutiaPoint]) -> None:
-    """DomainError unless every coordinate is an int on the 256x256 grid."""
-    for x, y in points:
+def _template_units(template: Template, cp: CombinedPassword, params: VaultParams) -> list[int]:
+    """The first r of the sorted, deduplicated 16-bit lock units (x << 8) | y
+    of the password-transformed template pruned at d, for enrolment and
+    verification alike; fewer when the template yields fewer.  DomainError
+    for a raw point that is not a pair of ints on the 256x256 grid, since
+    the quadrant wrap would fold it back onto the grid; transformed points
+    need no check."""
+    for x, y in template:
         if type(x) is not int or type(y) is not int:
             raise DomainError(f"point ({x!r}, {y!r}) must have int coordinates")
         if not (0 <= x < GRID_SIZE and 0 <= y < GRID_SIZE):
             raise DomainError(f"point ({x}, {y}) outside the {GRID_SIZE}x{GRID_SIZE} grid")
-
-
-def lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
-    """First ``r`` of the sorted, deduplicated 16-bit units (x << 8) | y;
-    fewer when the points yield fewer.  DomainError for a point that is not
-    a pair of ints on the 256x256 grid, whose unit would alias another
-    point's or not be one."""
-    _check_grid(points)
-    return _lock_units(points, r)
-
-
-def _lock_units(points: Sequence[MinutiaPoint], r: int) -> list[int]:
-    return sorted({(x << 8) | y for x, y in points})[:r]
-
-
-def _template_units(template: Template, cp: CombinedPassword, params: VaultParams) -> list[int]:
-    """Lock units of the password-transformed template pruned at d, for
-    enrolment and verification alike.  The raw template is checked as
-    :func:`lock_units` checks points, since the quadrant wrap would fold an
-    off-grid point back onto the grid; transformed points need no check."""
-    _check_grid(template)
-    return _lock_units(prune_close(transform_template(template, derive_blocks(cp)), params.d),
-                       params.r)
+    ready = prune_close(transform_template(template, derive_blocks(cp)), params.d)
+    return sorted({(x << 8) | y for x, y in ready})[:params.r]
 
 
 def encode_secret(payload: bytes) -> tuple[int, ...]:
@@ -478,17 +463,22 @@ def _xor(records: bytes, stream: bytes) -> bytes:
     return xored.to_bytes(len(records), "big")
 
 
-def _cipher(records: bytes, seed: int) -> bytes:
+# The IFV1 keystream state must be nonzero, so an all-zero password seeds
+# it with this documented constant.
+ZERO_SEED_FALLBACK = 0x9E3779B97F4A7C15
+
+
+def _cipher(records: bytes, cp: CombinedPassword) -> bytes:
     """xor the IFV1 keystream over ``records``: a xorshift*-style 64-bit
-    generator seeded by the password alone, blocks big-endian and the last
-    one cut to length; xor is its own inverse.
+    generator seeded by the password alone, read as a big-endian integer,
+    blocks big-endian and the last one cut to length; xor is its own
+    inverse.
 
     Reproducibility-grade whitening, not a vetted cipher, kept only so that
-    IFV1 vaults still open; the state must be nonzero, which
-    seed_from_password guarantees.
+    IFV1 vaults still open.
     """
     mask = (1 << 64) - 1
-    s = seed & mask
+    s = int.from_bytes(cp.data, "big") or ZERO_SEED_FALLBACK
     blocks = []
     for _ in range(-(-len(records) // 8)):
         s ^= s >> 12
@@ -518,7 +508,7 @@ def decrypt_vault(vault: Vault, cp: CombinedPassword) -> list[tuple[int, int]]:
     tuple per record.  A wrong password, or an IFV2 header edited since
     enrolment, yields points with no structure, not an error."""
     if vault.version == 1:
-        clear = _cipher(vault.records, seed_from_password(cp))
+        clear = _cipher(vault.records, cp)
     else:
         clear = _shake_cipher(vault.records, vault_header(vault.params, vault.version), cp)
     return list(POINT_RECORD.iter_unpack(clear))

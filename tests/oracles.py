@@ -122,6 +122,22 @@ def root_product_oracle(roots):
     return prod
 
 
+def lock_units_oracle(points, r):
+    """The ``r`` smallest distinct units x * 256 + y of the points, fewer
+    when they give fewer: repeats dropped in list order, then the smallest
+    left taken one at a time."""
+    left = []
+    for x, y in points:
+        if x * 256 + y not in left:
+            left.append(x * 256 + y)
+    units = []
+    while left and len(units) < r:
+        smallest = min(left)
+        left.remove(smallest)
+        units.append(smallest)
+    return units
+
+
 def match_candidates_oracle(points, query_units, epsilon):
     """Brute-force disc scan: every vault point against every query unit,
     kept when its decoded (x, y) lies within ``epsilon`` of one, or equals a
@@ -156,7 +172,8 @@ def _keystream_words(seed: int, count: int):
     """xorshift*-style 64-bit keystream, emitted as 16-bit big-endian words.
 
     Reproducibility-grade whitening keyed by the password, not a vetted
-    cipher; the state must be nonzero, which seed_from_password guarantees.
+    cipher; ``seed`` must be nonzero, as the IFV1 cipher ensures by seeding
+    an all-zero password with a fixed constant instead.
     """
     mask = (1 << 64) - 1
     s = seed & mask

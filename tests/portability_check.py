@@ -21,13 +21,14 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from irisvault.templates import synth_template, write_vault  # noqa: E402
+from irisvault.templates import synth_template  # noqa: E402
 from irisvault.vault import (  # noqa: E402
     VaultParams,
     _eval_poly_many,
     build_vault,
     eval_poly,
     generate_chaff,
+    write_vault,
 )
 
 from oracles import generate_chaff_oracle  # noqa: E402

@@ -5,6 +5,7 @@ on success; a failed criterion fails its test).
 All randomness is seeded, so every figure below is reproducible.
 """
 
+import math
 import random
 import statistics
 import time
@@ -13,16 +14,10 @@ from itertools import combinations
 
 from irisvault.cli import main
 from irisvault.fields import append_crc, check_crc, crc16, gf_add, gf_inv, gf_mul
-from irisvault.security import analyze, binom, evaluations, hardened_range, min_entropy
-from irisvault.templates import (
-    parse_template,
-    read_vault,
-    synth_template,
-    write_template,
-    write_vault,
-)
+from irisvault.security import analyze
+from irisvault.templates import parse_template, synth_template, write_template
 from irisvault.transform import MinutiaPoint
-from irisvault.vault import build_vault, eval_poly, interpolate
+from irisvault.vault import build_vault, eval_poly, interpolate, read_vault, write_vault
 
 from vectors import (
     CORROBORATED_QUADRANTS,
@@ -336,14 +331,15 @@ def test_7_subset_probability_model():
                 for subset in combinations(points, n + 1):
                     total += 1
                     genuine += all(at(a) == b for a, b in subset)
-                expected = Fraction(binom(r, n + 1), binom(r + c, n + 1))
+                expected = Fraction(math.comb(r, n + 1), math.comb(r + c, n + 1))
                 assert Fraction(genuine, total) == expected, (r, c, n)
                 cases += 1
 
     # Spot-check the closed forms the fraction feeds.
-    assert evaluations(2, 2, 0) == 2.0
-    assert min_entropy(2, 2, 0) == 1.0
-    assert hardened_range(2, 2, 0) == (19.0, 31.0)
+    report = analyze(2, 2, 0)
+    assert report.evaluations == 2.0
+    assert report.min_entropy_bits == 1.0
+    assert report.hardened_range_bits == (19.0, 31.0)
     print(f"PASS subset probability model: {cases} exhaustive small instances "
           f"match the combinatorial formula exactly")
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from irisvault.cli import main
-from irisvault.templates import parse_template, synth_template, write_template, write_vault
-from irisvault.vault import build_vault
+from irisvault.templates import parse_template, synth_template, write_template
+from irisvault.vault import build_vault, write_vault
 
 from vectors import FUZZY, KNOWN_BLOCKS, KNOWN_TRANSFORMS, REFERENCE_POINTS
 

@@ -5,16 +5,13 @@ from hypothesis import given, strategies as st
 
 from irisvault.errors import DomainError
 from irisvault.password import (
-    ZERO_SEED_FALLBACK,
     CombinedPassword,
     EyeColor,
     SoftBiometrics,
     UserPassword,
     combine_password,
     derive_blocks,
-    eye_color_code,
     mask_secret,
-    seed_from_password,
 )
 
 from vectors import FUZZY, TOKEN, VAULT
@@ -23,12 +20,13 @@ raw_passwords = st.binary(min_size=8, max_size=8).map(CombinedPassword)
 
 
 def test_eye_color_codes():
-    assert eye_color_code(EyeColor.BROWN) == ord("B") == 66
-    assert eye_color_code(EyeColor.GRAY) == ord("G") == 71
-    assert eye_color_code(EyeColor.AMBER) == ord("A") == 65
-    assert eye_color_code(EyeColor.BLUE) == ord("E")
-    assert eye_color_code(EyeColor.GREEN) == ord("N")
-    assert eye_color_code(EyeColor.HAZEL) == ord("H")
+    # The combined password's second byte is the eye color's character code.
+    codes = {color: combine_password(SoftBiometrics(155, color, "M"), UserPassword("FUZZY")).data[1]
+             for color in EyeColor}
+    assert codes == {EyeColor.AMBER: ord("A"), EyeColor.BLUE: ord("E"),
+                     EyeColor.BROWN: ord("B"), EyeColor.GRAY: ord("G"),
+                     EyeColor.GREEN: ord("N"), EyeColor.HAZEL: ord("H")}
+    assert (codes[EyeColor.BROWN], codes[EyeColor.GRAY], codes[EyeColor.AMBER]) == (66, 71, 65)
 
 
 def test_combine_known_vectors():
@@ -112,9 +110,3 @@ class TestMaskSecret:
     def test_injective_per_password(self, cp, s1, s2):
         if s1 != s2:
             assert mask_secret(s1, cp) != mask_secret(s2, cp)
-
-
-def test_seed_from_password():
-    assert seed_from_password(FUZZY) == 0x9B424D46555A5A59
-    assert seed_from_password(CombinedPassword(bytes(8))) == ZERO_SEED_FALLBACK
-    assert seed_from_password(CombinedPassword(bytes(7) + b"\x01")) == 1

@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from irisvault.errors import DomainError
-from irisvault.security import (
-    GUESSING_ENTROPY_BITS,
-    analyze,
-    binom,
-    evaluations,
-    hardened_range,
-    min_entropy,
-)
+from irisvault.security import GUESSING_ENTROPY_BITS, analyze
 
 
 def pascal_binom(n, k):
@@ -27,83 +20,81 @@ def pascal_binom(n, k):
 
 
 class TestBinom:
+    """The report's binomials C(t, n+1) and C(r, n+1), kept exact."""
+
     def test_known_values(self):
-        assert binom(20, 9) == 167960
-        assert binom(10, 0) == 1
+        report = analyze(20, 200, 8)
+        assert report.required_combinations == 167960 == pascal_binom(20, 9)
         # Exact value, confirmed by the additive oracle; rounds to
         # 2.8187e15 at five significant figures.
-        assert binom(220, 9) == 2818651865383860
-        assert pascal_binom(220, 9) == 2818651865383860
-        assert float(f"{binom(220, 9):.4e}") == 2.8187e15
-        assert pascal_binom(20, 9) == 167960
+        assert report.total_combinations == 2818651865383860 == pascal_binom(220, 9)
+        assert float(f"{report.total_combinations:.4e}") == 2.8187e15
+        assert analyze(10, 0, 0).required_combinations == 10
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            binom(5, -1)
-        with pytest.raises(DomainError):
-            binom(5, 6)
-
-    @given(st.integers(0, 60), st.integers(0, 60))
-    def test_pascal_rule(self, n, k):
-        if 1 <= k <= n:
-            assert binom(n + 1, k) == binom(n, k) + binom(n, k - 1)
+    @given(st.integers(2, 40), st.integers(0, 40), st.integers(1, 8))
+    def test_pascal_rule(self, r, c, n):
+        # C(t + 1, n + 1) = C(t, n + 1) + C(t, n) for t = r + c.
+        if r >= n + 1:
+            assert (analyze(r, c + 1, n).total_combinations
+                    == analyze(r, c, n).total_combinations + analyze(r, c, n - 1).total_combinations)
 
 
 class TestMinEntropy:
     def test_reference_shape(self):
-        assert abs(min_entropy(20, 200, 8) - 34) <= 0.5
+        assert abs(analyze(20, 200, 8).min_entropy_bits - 34) <= 0.5
 
     def test_no_chaff_is_zero(self):
-        assert min_entropy(20, 0, 8) == 0.0
-        assert min_entropy(9, 0, 8) == 0.0
+        assert analyze(20, 0, 8).min_entropy_bits == 0.0
+        assert analyze(9, 0, 8).min_entropy_bits == 0.0
 
     def test_tiny_exact(self):
-        assert min_entropy(2, 2, 0) == pytest.approx(1.0, abs=1e-12)
+        assert analyze(2, 2, 0).min_entropy_bits == pytest.approx(1.0, abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            min_entropy(8, 200, 8)
-        with pytest.raises(DomainError):
-            min_entropy(20, -1, 8)
+        with pytest.raises(DomainError, match=r"^need r >= n \+ 1 genuine points, got r=8, n=8$"):
+            analyze(8, 200, 8)
+        with pytest.raises(DomainError, match="^chaff count must be non-negative, got -1$"):
+            analyze(20, -1, 8)
 
     @given(st.integers(9, 40), st.integers(0, 300))
     def test_monotone_in_chaff(self, r, c):
-        assert min_entropy(r, c + 1, 8) > min_entropy(r, c, 8)
+        assert analyze(r, c + 1, 8).min_entropy_bits > analyze(r, c, 8).min_entropy_bits
 
     @given(st.integers(9, 40), st.integers(1, 300))
     def test_zero_iff_no_chaff(self, r, c):
-        assert min_entropy(r, c, 8) > 0.0
+        assert analyze(r, c, 8).min_entropy_bits > 0.0
 
 
 class TestEvaluations:
     def test_reference_shape(self):
-        assert evaluations(20, 200, 8) == pytest.approx(1.6782e10, rel=1e-3)
+        assert analyze(20, 200, 8).evaluations == pytest.approx(1.6782e10, rel=1e-3)
 
     def test_trivial(self):
-        assert evaluations(20, 0, 8) == 1.0
-        assert evaluations(2, 2, 0) == 2.0
+        assert analyze(20, 0, 8).evaluations == 1.0
+        assert analyze(2, 2, 0).evaluations == 2.0
 
     @given(st.integers(9, 50), st.integers(0, 400), st.integers(0, 8))
     def test_exact_identity(self, r, c, n):
         # evaluations * C(r, n+1) == C(r+c, n+1), checked in exact arithmetic.
-        ratio = Fraction(binom(r + c, n + 1), binom(r, n + 1))
-        assert evaluations(r, c, n) == pytest.approx(float(ratio), rel=1e-12)
-        assert math.log2(float(ratio)) == pytest.approx(min_entropy(r, c, n), abs=1e-9)
+        ratio = Fraction(math.comb(r + c, n + 1), math.comb(r, n + 1))
+        report = analyze(r, c, n)
+        assert report.evaluations == pytest.approx(float(ratio), rel=1e-12)
+        assert math.log2(float(ratio)) == pytest.approx(report.min_entropy_bits, abs=1e-9)
 
 
 class TestHardenedRange:
     def test_reference_shape(self):
-        lo, hi = hardened_range(20, 200, 8)
-        assert lo == pytest.approx(min_entropy(20, 200, 8) + 18)
-        assert hi == pytest.approx(min_entropy(20, 200, 8) + 30)
+        lo, hi = analyze(20, 200, 8).hardened_range_bits
+        assert lo == pytest.approx(analyze(20, 200, 8).min_entropy_bits + 18)
+        assert hi == pytest.approx(analyze(20, 200, 8).min_entropy_bits + 30)
 
     def test_no_chaff(self):
-        assert hardened_range(20, 0, 8) == (18.0, 30.0)
+        assert analyze(20, 0, 8).hardened_range_bits == (18.0, 30.0)
 
     @given(st.integers(9, 40), st.integers(0, 200))
     def test_monotone_in_chaff(self, r, c):
-        lo1, hi1 = hardened_range(r, c, 8)
-        lo2, hi2 = hardened_range(r, c + 1, 8)
+        lo1, hi1 = analyze(r, c, 8).hardened_range_bits
+        lo2, hi2 = analyze(r, c + 1, 8).hardened_range_bits
         assert lo2 > lo1 and hi2 > hi1
 
 
@@ -111,9 +102,9 @@ class TestReport:
     def test_fields(self):
         report = analyze(20, 200, 8)
         assert (report.r, report.c, report.t, report.n) == (20, 200, 220, 8)
-        assert report.total_combinations == binom(220, 9)
+        assert report.total_combinations == math.comb(220, 9)
         assert report.required_combinations == 167960
-        assert report.min_entropy_bits == min_entropy(20, 200, 8)
+        assert report.min_entropy_bits == math.log2(math.comb(220, 9)) - math.log2(167960)
         assert report.hardened_range_rounded == (52, 64)
 
     def test_rounding_only_presents(self):
@@ -132,7 +123,7 @@ def test_subset_counting_model_small_instances():
         for subset in combinations(range(r + c), n + 1):
             total += 1
             all_genuine += all(labels[i] == "genuine" for i in subset)
-        assert Fraction(all_genuine, total) == Fraction(binom(r, n + 1), binom(r + c, n + 1))
+        assert Fraction(all_genuine, total) == Fraction(math.comb(r, n + 1), math.comb(r + c, n + 1))
 
 
 @pytest.mark.parametrize("args, message", [

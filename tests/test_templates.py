@@ -8,18 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from irisvault.errors import DomainError, FormatError
-from irisvault.templates import (
-    parse_template,
-    read_vault,
-    synth_template,
-    write_template,
-    write_vault,
-)
-import irisvault.templates
-import irisvault.vault
+from irisvault.errors import DomainError
+from irisvault.templates import parse_template, synth_template, write_template
 from irisvault.transform import MinutiaPoint
-from irisvault.vault import Vault, VaultParams, build_vault, open_vault
+from irisvault.vault import Vault, VaultParams, build_vault, open_vault, read_vault, write_vault
 
 from vectors import FUZZY, TOKEN
 
@@ -65,20 +57,20 @@ class TestTemplateText:
         assert parse_template("  # indented comment\n7 9\n") == [MinutiaPoint(7, 9)]
 
     def test_out_of_range(self):
-        with pytest.raises(FormatError, match="line 1"):
+        with pytest.raises(DomainError, match="line 1"):
             parse_template("4 300\n")
 
     def test_malformed_line_number(self):
-        with pytest.raises(FormatError, match="line 3"):
+        with pytest.raises(DomainError, match="line 3"):
             parse_template("1 2\n3 4\nfive six\n")
-        with pytest.raises(FormatError, match="line 2"):
+        with pytest.raises(DomainError, match="line 2"):
             parse_template("1 2\n3\n")
 
     @pytest.mark.parametrize("text", ["1_0 2\n", "3 \u0663\n", "+7 9\n", "\uff14 4\n"])
     def test_non_ascii_decimal_coordinate(self, text):
         # int() takes each of these: an underscore, a sign, an Arabic-Indic
         # and a fullwidth digit.
-        with pytest.raises(FormatError, match="line 2: non-decimal coordinate"):
+        with pytest.raises(DomainError, match="line 2: non-decimal coordinate"):
             parse_template("1 2\n" + text)
 
     def test_write_trivial(self):
@@ -138,28 +130,28 @@ class TestVaultFrame:
     def test_bad_magic(self):
         blob = bytearray(write_vault(self.make()))
         blob[:4] = b"XXXX"
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(DomainError, match="magic"):
             read_vault(bytes(blob))
 
     def test_bad_version(self):
         blob = bytearray(write_vault(self.make()))
         blob[4] = 9
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(DomainError, match="version"):
             read_vault(bytes(blob))
 
     def test_truncated(self):
         blob = write_vault(self.make())
-        with pytest.raises(FormatError):
+        with pytest.raises(DomainError, match="^point region holds 877 bytes, expected 880 "):
             read_vault(blob[:-3])
-        with pytest.raises(FormatError):
+        with pytest.raises(DomainError, match="^stream of 10 bytes is shorter than the header$"):
             read_vault(blob[:10])
-        with pytest.raises(FormatError):
+        with pytest.raises(DomainError, match="^point region holds 881 bytes, expected 880 "):
             read_vault(blob + b"\x00")
 
     def test_bad_degree(self):
         blob = bytearray(write_vault(self.make()))
         blob[5] = 7
-        with pytest.raises(FormatError, match="degree"):
+        with pytest.raises(DomainError, match="degree"):
             read_vault(bytes(blob))
 
     @pytest.mark.parametrize("seed, cp, digest, count, r", [
@@ -215,10 +207,10 @@ class TestVaultFrame:
     # only now and then.
     @example(struct.pack(">4sBBHHBB4s", b"IFV1", 1, 8, 9, 0, 0, 0, b"\xab\0\0\0") + bytes(36))
     @example(struct.pack(">4sBBHHBB4s", b"IFV2", 2, 8, 9, 0, 0, 0, b"\0\0\0\xab") + bytes(36))
-    def test_any_bytes_parse_or_raise_format_error(self, data):
+    def test_any_bytes_parse_or_raise_domain_error(self, data):
         try:
             vault = read_vault(data)
-        except FormatError:
+        except DomainError:
             return
         assert isinstance(vault, Vault)
         assert write_vault(vault) == data
@@ -227,31 +219,29 @@ class TestVaultFrame:
     def test_nonzero_reserved_bytes(self):
         blob = bytearray(write_vault(self.make()))
         blob[12] = 0xAB
-        with pytest.raises(FormatError, match="reserved"):
+        with pytest.raises(DomainError, match="reserved"):
             read_vault(bytes(blob))
 
     @pytest.mark.parametrize("magic, version", [(b"IFV1", 2), (b"IFV2", 1)])
     def test_magic_version_mismatch(self, magic, version):
         blob = bytearray(write_vault(self.make()))
         blob[:5] = magic + bytes([version])
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(DomainError, match="version"):
             read_vault(bytes(blob))
 
     def test_bad_params(self):
         blob = bytearray(write_vault(self.make()))
         blob[6:8] = (0).to_bytes(2, "big")  # r = 0 is below the minimum
-        with pytest.raises(FormatError, match="parameters"):
+        with pytest.raises(DomainError, match="parameters"):
             read_vault(bytes(blob))
 
     @given(vaults())
     @example(Vault(VaultParams(r=20, c=65516, d=255, epsilon=255), bytes(4 * 65536), 2))
     def test_frame_round_trip(self, vault):
-        assert irisvault.templates.read_vault is irisvault.vault.read_vault
-        assert irisvault.templates.write_vault is irisvault.vault.write_vault
         assert read_vault(write_vault(vault)) == vault
 
     def test_header_beyond_the_abscissa_count(self):
         # Full length for its header, so that only the bound rejects it.
         blob = struct.pack(">4sBBHHBBI", b"IFV2", 2, 8, 9, 65528, 4, 0, 0) + bytes(4 * 65537)
-        with pytest.raises(FormatError, match=r"^invalid parameters in header: r \+ c = 65537 "):
+        with pytest.raises(DomainError, match=r"^invalid parameters in header: r \+ c = 65537 "):
             read_vault(blob)

@@ -16,12 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 from irisvault.errors import DomainError, UnlockError
 from irisvault.fields import _GF_EXP, GF_ORDER, append_crc
 from irisvault.password import CombinedPassword, derive_blocks, mask_secret
-from irisvault.templates import read_vault, synth_template, write_vault
+from irisvault.templates import synth_template
 from irisvault.transform import MinutiaPoint, prune_close, transform_template
 from irisvault.vault import (
     Vault,
     VaultParams,
     _LANES_MIN,
+    _cipher,
     _eval_poly_many,
     _newton_expand,
     _newton_extend,
@@ -36,15 +37,17 @@ from irisvault.vault import (
     eval_poly,
     generate_chaff,
     interpolate,
-    lock_units,
     match_candidates,
     open_vault,
+    read_vault,
+    write_vault,
 )
 
 from oracles import (
     cipher_points_oracle,
     eval_poly_oracle,
     generate_chaff_oracle,
+    lock_units_oracle,
     match_candidates_oracle,
     root_product_oracle,
 )
@@ -64,36 +67,57 @@ grid_units = st.builds(unit, grid, grid)
 SECRET = bytes.fromhex("00112233445566778899aabbccddeeff")
 
 
+# The all-zero password translates no point, so with d = 0 the template's
+# lock units are those of its raw points.
+IDENTITY = CombinedPassword(bytes(8))
+
+
+def raw_units(points, r):
+    return _template_units(points, IDENTITY, VaultParams(r=r, d=0))
+
+
 class TestLockUnits:
     def test_positional_encoding_and_sort(self):
         pts = [MinutiaPoint(1, 2), MinutiaPoint(0, 5)]
-        assert lock_units(pts, 2) == [0x0005, 0x0102]
+        assert raw_units(pts, 9) == lock_units_oracle(pts, 9) == [0x0005, 0x0102]
 
     def test_duplicates_collapse(self):
         pts = [MinutiaPoint(0, 1), MinutiaPoint(0, 1), MinutiaPoint(0, 2)]
-        assert lock_units(pts, 2) == [0x0001, 0x0002]
+        assert raw_units(pts, 9) == lock_units_oracle(pts, 9) == [0x0001, 0x0002]
+        many = [MinutiaPoint(0, y) for y in (9, 1, 1, 8, 2, 7, 3, 6, 4, 5, 5, 0)]
+        assert raw_units(many, 9) == lock_units_oracle(many, 9) == list(range(9))
 
     def test_synthetic_template_matches_plain_sort(self):
         pts = synth_template(11, 20, 4)
-        units = lock_units(pts, 20)
-        assert units == sorted(p.x * 256 + p.y for p in pts)
+        units = raw_units(pts, 20)
+        assert units == lock_units_oracle(pts, 20) == sorted(p.x * 256 + p.y for p in pts)
         assert len(units) == 20
 
     def test_insufficient(self):
         # Short of r is build_vault's error to raise; a query matches with
         # what it has.
-        assert lock_units([MinutiaPoint(0, 1)], 2) == [0x0001]
+        assert raw_units([MinutiaPoint(0, 1)], 9) == [0x0001]
 
     @pytest.mark.parametrize("x, y", [(300, 5), (5, 256), (-1, 0)])
     def test_point_off_the_grid(self, x, y):
         # (300, 5) would give unit 76805, beyond 16 bits; (5, 256) would
         # alias (6, 0).
-        with pytest.raises(DomainError, match=rf"^point \({x}, {y}\) outside the 256x256 grid$"):
-            lock_units([MinutiaPoint(0, 1), MinutiaPoint(x, y)], 20)
+        template, vault = make_vault(3)
+        bad = template + [MinutiaPoint(x, y)]
+        message = rf"^point \({x}, {y}\) outside the 256x256 grid$"
+        with pytest.raises(DomainError, match=message):
+            build_vault(bad, SECRET, FUZZY, rng=random.Random(0))
+        with pytest.raises(DomainError, match=message):
+            open_vault(vault, bad, FUZZY)
 
     def test_point_not_int(self):
-        with pytest.raises(DomainError, match=r"^point \(1\.5, 2\) must have int coordinates$"):
-            lock_units([MinutiaPoint(1.5, 2)], 20)
+        template, vault = make_vault(3)
+        bad = [MinutiaPoint(1.5, 2)] + template
+        message = r"^point \(1\.5, 2\) must have int coordinates$"
+        with pytest.raises(DomainError, match=message):
+            build_vault(bad, SECRET, FUZZY, rng=random.Random(0))
+        with pytest.raises(DomainError, match=message):
+            open_vault(vault, bad, FUZZY)
 
 
 class TestVaultParams:
@@ -369,6 +393,16 @@ class TestBuildVault:
         stored = b"".join(struct.pack(">HH", *p) for p in expect)
         assert decrypt_vault(Vault(VaultParams(), stored, version=1), cp) == pairs
 
+    def test_ifv1_cipher_seed(self):
+        # The IFV1 keystream is seeded by the password read big-endian.  Its
+        # state must be nonzero, so the zero password falls back to
+        # ZERO_SEED_FALLBACK.
+        for password, seed in [(FUZZY.data, 0x9B424D46555A5A59), (bytes(7) + b"\x01", 1),
+                               (bytes(8), 0x9E3779B97F4A7C15)]:
+            words = cipher_points_oracle([(0, 0)] * 3, seed)
+            expect = b"".join(struct.pack(">HH", *p) for p in words)
+            assert _cipher(bytes(12), CombinedPassword(password)) == expect
+
     @given(st.binary(min_size=8, max_size=8),
            st.integers(9, 0xFFFF).flatmap(lambda r: st.builds(
                VaultParams, st.just(r), st.integers(0, GF_ORDER - r),
@@ -396,7 +430,7 @@ def test_template_units_compose_transform_prune_and_lock(template, password, r, 
     cp, params = CombinedPassword(password), VaultParams(r=r, d=d)
     ready = prune_close(transform_template(template, derive_blocks(cp)), d)
     units = _template_units(template, cp, params)
-    assert units == lock_units(ready, r)
+    assert units == lock_units_oracle(ready, r)
     if len(units) < r:
         with pytest.raises(DomainError) as got:
             build_vault(template, SECRET, cp, params, random.Random(0))
