@@ -35,10 +35,11 @@ xored in as packed 16-bit lanes.  log[0] is only a placeholder, so lanes
 with x = 0 are set to c0 at the end.
 
 Decoding reverses the path: decrypt, transform the query with the same
-password, match its lock units against the vault, and decode the candidates
-as a Reed-Solomon code.  Genuine points are codeword symbols and matched
-chaff are errors, so one algebraic decode (Gao's algorithm) recovers the
-polynomial from m candidates with distinct abscissas as long as at most
+password, match its lock units against the vault (within epsilon, in a row
+bitmask table padded by the disc's reach), and decode the candidates as a
+Reed-Solomon code.  Genuine points are codeword symbols and matched chaff are
+errors, so one algebraic decode (Gao's algorithm) recovers the polynomial
+from m candidates with distinct abscissas as long as at most
 floor((m - 9) / 2) of them are chaff.  A decode is accepted only when the
 polynomial agrees with at least ceil((m + 9) / 2) candidates and its payload
 passes the CRC.  Within that radius the polynomial is unique, so the result
@@ -52,7 +53,7 @@ import struct
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from itertools import chain
-from math import floor, isqrt
+from math import floor, isfinite, isqrt
 from operator import itemgetter
 
 from .errors import DomainError, UnlockError
@@ -551,31 +552,40 @@ def match_candidates(points: Sequence[tuple[int, int]], query_units: Sequence[in
     decoded (x, y) = (a >> 8, a & 0xFF) lie within ``epsilon`` of a query
     unit's decoded point, sorted stably by ascending abscissa alone.
 
-    epsilon 0 degenerates to exact unit equality.  Otherwise every grid row
-    a query disc crosses gets one int bitmask, bit y set iff (row, y) lies
-    in some disc, and a vault point is kept iff its bit in its row is set.
+    epsilon 0 degenerates to exact unit equality.  Otherwise discs are ORed
+    into a padded table of row bitmasks: with reach = isqrt(floor(epsilon^2))
+    cut at 255, (x, y) is bit y + reach of row x + reach, so no shift is
+    negative, and dropping the first reach rows makes row x one list index.
+
+    Raises DomainError for a non-finite epsilon or a unit outside [0, 65535].
     """
+    if not isfinite(epsilon):
+        raise DomainError(f"epsilon={epsilon} is not finite")
+    if query_units and not 0 <= min(query_units) <= max(query_units) < GF_ORDER:
+        raise DomainError(f"query units must lie in [0, {GF_ORDER - 1}]")
     if epsilon == 0:
         wanted = set(query_units)
         hits = [p for p in points if p[0] in wanted]
     else:
         # dx^2 + dy^2 <= epsilon^2 holds for integers iff it holds against
-        # the floor of epsilon^2.
-        limit = floor(epsilon * epsilon)
-        reach = isqrt(limit)
-        # A disc covers y in [qy - half, qy + half] of row qx + dx: the run of
-        # 2 * half + 1 one bits shifted to qy - half, cut at bit 0 below.
+        # the floor of epsilon^2, capped past the grid's diagonal squared.
+        limit = floor(min(epsilon * epsilon, 2 * GRID_SIZE * GRID_SIZE))
+        reach = min(isqrt(limit), GRID_SIZE - 1)
+        # Row qx + dx of a disc holds y in [qy - half, qy + half], half cut at
+        # reach, so at 255: 2 * half + 1 one bits at reach - half, shifted by qy.
         spans = []
         for dx in range(-reach, reach + 1):
             half = isqrt(limit - dx * dx)
-            spans.append((dx, half, (1 << (2 * half + 1)) - 1))
-        rows: dict[int, int] = {}
+            half = half if half < reach else reach  # min() costs more here
+            spans.append((reach + dx, ((1 << (2 * half + 1)) - 1) << (reach - half)))
+        rows = [0] * (GRID_SIZE + 2 * reach)
         for u in query_units:
             qx, qy = u >> 8, u & 0xFF
-            for dx, half, span in spans:
-                lo = qy - half
-                rows[qx + dx] = rows.get(qx + dx, 0) | (span << lo if lo >= 0 else span >> -lo)
-        hits = [p for p in points if (rows.get(p[0] >> 8, 0) >> (p[0] & 0xFF)) & 1]
+            for x, span in spans:
+                rows[qx + x] |= span << qy
+        del rows[:reach]
+        bit = 1 << reach
+        hits = [p for p in points if rows[p[0] >> 8] >> (p[0] & 0xFF) & bit]
     hits.sort(key=itemgetter(0))
     return hits
 

@@ -460,9 +460,9 @@ class TestMatchCandidates:
         assert match_candidates(clear, [12 << 8 | 101], epsilon=0) == []
 
     @given(st.lists(grid_units, max_size=80), st.lists(grid_units, max_size=25),
-           st.sampled_from((0, 1, 2, 2.5, 8, 40, 255)))
+           st.sampled_from((0, 0.5, 1, 1.5, 2, 2.5, 8, 40, 255, 363, 10**6)))
     @settings(max_examples=300, deadline=None)
-    # Discs that cross y = 0 and y = 255 (row masks shifted right, and past bit 255).
+    # Discs that cross y = 0 and y = 255, into the padding bits on both sides.
     @example([unit(100, y) for y in (0, 1, 11, 12, 243, 244, 255)]
              + [unit(99, 0), unit(101, 255), unit(101, 0), unit(99, 255)],
              [unit(100, 3), unit(100, 252)], 8)
@@ -473,6 +473,10 @@ class TestMatchCandidates:
     @example([unit(x, y) for x, y in ((255, 0), (0, 255), (180, 180), (180, 181),
                                       (255, 255), (128, 128), (0, 0))],
              [unit(0, 0)], 255)
+    # Units on the first and the last column at epsilon 255: the full reach of
+    # padding on both sides, in rows and in bits.
+    @example([unit(x, y) for x in (0, 1, 127, 128, 254, 255) for y in (0, 1, 254, 255)],
+             [unit(0, 0), unit(255, 255), unit(0, 200), unit(255, 60)], 255)
     # One abscissa twice, ordinates descending: only a stable sort on the
     # abscissa alone keeps the list order.
     @example([unit(5, 5), unit(5, 5), unit(3, 3)], [unit(5, 5), unit(3, 3)], 0)
@@ -482,6 +486,18 @@ class TestMatchCandidates:
         clear = [(a, len(abscissas) - i) for i, a in enumerate(abscissas)]
         assert (match_candidates(clear, query, epsilon)
                 == match_candidates_oracle(clear, query, epsilon))
+
+    @pytest.mark.parametrize("query, epsilon, message", [
+        ([unit(3, 3)], float("inf"), "epsilon=inf is not finite"),
+        ([unit(3, 3)], float("nan"), "epsilon=nan is not finite"),
+        ([-1], 2, r"query units must lie in \[0, 65535\]"),
+        ([unit(3, 3), 65536], 2, r"query units must lie in \[0, 65535\]"),
+    ])
+    def test_domain(self, query, epsilon, message):
+        # Unit -1 decodes to (-1, 255), off the grid; a unit further below 0
+        # would index the padded row table from its far end.
+        with pytest.raises(DomainError, match=message):
+            match_candidates([(unit(0, 255), 1), (unit(3, 3), 2)], query, epsilon)
 
 
 def corrupt(points, where, deltas):
