@@ -38,12 +38,12 @@ Decoding reverses the path: decrypt, transform the query with the same
 password, match its lock units against the vault (within epsilon, in a row
 bitmask table padded by the disc's reach), and decode the candidates as a
 Reed-Solomon code.  Genuine points are codeword symbols and matched chaff are
-errors, so one algebraic decode (Gao's algorithm) recovers the polynomial
-from m candidates with distinct abscissas as long as at most
-floor((m - 9) / 2) of them are chaff.  A decode is accepted only when the
-polynomial agrees with at least ceil((m + 9) / 2) candidates and its payload
-passes the CRC.  Within that radius the polynomial is unique, so the result
-depends on the candidate set alone, not on the order they are tried in.
+errors, so the first nine candidates' interpolant h, or else Gao's algorithm
+on the residual y - h at degree m - 9, recovers the polynomial from m
+candidates with distinct abscissas when at most floor((m - 9) / 2) are chaff.
+A decode is accepted only when the polynomial agrees with at least
+ceil((m + 9) / 2) candidates and its payload passes the CRC.  Within that
+radius the polynomial is unique, so the candidates' order does not matter.
 """
 
 from __future__ import annotations
@@ -325,20 +325,6 @@ def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(reversed(_newton_expand(table)))
 
 
-def _agrees(coeffs: Sequence[int], points: Sequence[tuple[int, int]], need: int) -> bool:
-    """True iff at least ``need`` of the points lie on the polynomial;
-    stops as soon as the answer is known."""
-    misses = len(points) - need
-    for x, y in points:
-        if need <= 0 or misses < 0:
-            break
-        if eval_poly(coeffs, x) == y:
-            need -= 1
-        else:
-            misses -= 1
-    return need <= 0
-
-
 # Polynomials for the decoder: coefficient lists, degree ascending, with no
 # zero leading coefficient (the zero polynomial is []).
 
@@ -389,43 +375,55 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
     Abscissas must be pairwise distinct and m at least nine.  Within that
     agreement the polynomial is unique (two distinct ones share at most
     eight points), so the answer does not depend on the candidates' order.
-    The interpolant of the first nine is tried first, which settles an
-    error-free candidate set without Euclid.  Otherwise Gao's algorithm
-    (2003) decodes up to floor((m - 9) / 2) errors: extend the nine points'
-    divided differences to all m and expand that interpolant, run the
-    extended Euclidean algorithm on prod(x - a_i) and the interpolant until
-    the remainder's degree drops below (m + 9) / 2, and divide the remainder
-    by its Bezout coefficient.  At m <= 10, where no error can be corrected,
-    Gao rejects by itself: the interpolant, of degree at most m - 1, is
-    already below (m + 9) / 2, so Euclid takes no step and the quotient is
-    the interpolant, of degree m - 1 > 8 once the nine-point check failed.
+    The interpolant h of the first nine settles an error-free set without
+    Euclid.  Otherwise Gao's algorithm (2003) decodes the residual y - h,
+    whose interpolant is W * T: W = prod(x - a_i) over the first nine, T
+    through the later (a_j, (y_j - h(a_j)) / W(a_j)).  Euclid on W * P and
+    W * T, P = prod(x - a_j) over the later ones, has the quotients and
+    Bezout coefficients v of Euclid on P and T, at degree m - 9, so it
+    stops at 2 deg r < m - 9 and gives h + W * r / v, of degree at most 8
+    only when deg r < deg v.  At m <= 10 Gao rejects by itself: T is
+    constant, so Euclid takes no step and deg r = deg v.
     """
     m = len(candidates)
-    need = (m + N_COEFFS + 1) // 2
     table: _Newton = ([], [], [])
     _newton_extend(table, candidates[:N_COEFFS])
     coeffs = tuple(reversed(_newton_expand(table)))
-    if _agrees(coeffs, candidates[N_COEFFS:], need - N_COEFFS):
-        return coeffs
+    first = table[0]
+    short = (m + N_COEFFS + 1) // 2 - N_COEFFS  # agreements h still lacks
+    residual = []
+    for a, y in candidates[N_COEFFS:]:
+        z = y ^ eval_poly(coeffs, a)
+        if z:  # divided by W(a), one log per factor
+            z = _GF_EXP[(_GF_LOG[z] - sum([_GF_LOG[a ^ b] for b in first])) % (GF_ORDER - 1)]
+        else:
+            short -= 1
+            if not short:
+                return coeffs
+        residual.append((a, z))
     r0 = [1]
-    for a, _ in candidates:
+    for a, _ in residual:
         _times_linear(r0, a)
-    _newton_extend(table, candidates[N_COEFFS:])
-    r1 = _poly_trim(_newton_expand(table))
+    r1 = _poly_trim(list(reversed(interpolate(residual))))
     v0: list[int] = []
     v1 = [1]
-    while 2 * (len(r1) - 1) >= m + N_COEFFS:
+    while 2 * (len(r1) - 1) >= m - N_COEFFS:
         quot, rem = _poly_divmod(r0, r1)
         r0, r1 = r1, rem
         v0, v1 = v1, _poly_addmul(v0, quot, v1)
-    f, rem = _poly_divmod(r1, v1)
-    if rem or len(f) > N_COEFFS:
+    if not r1:  # T = 0, which only m = 9 leaves here: W * r / v = 0
+        return coeffs
+    if len(r1) >= len(v1):
         return None
-    # r1 = v1 * f, and r1 = v1 * interpolant modulo prod(x - a_i), so f disagrees
-    # with a candidate only at a root of v1, and deg v1 <= (m - 9) / 2
-    # because the remainder before r1 had degree >= (m + 9) / 2: f has
-    # the agreement without a recount.
-    return (0,) * (N_COEFFS - len(f)) + tuple(f[::-1])
+    for a in first:
+        _times_linear(r1, a)
+    g, rem = _poly_divmod(r1, v1)
+    if rem:
+        return None
+    # W * r = v * g and r = v * T modulo P, so g misses the residual only at
+    # roots of v, and deg v <= (m - 9) / 2 since the remainder before r had
+    # 2 deg >= m - 9: h + g has the agreement without a recount.
+    return tuple(c ^ d for c, d in zip(coeffs, [0] * (N_COEFFS - len(g)) + g[::-1]))
 
 
 def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
@@ -557,10 +555,12 @@ def match_candidates(points: Sequence[tuple[int, int]], query_units: Sequence[in
     cut at 255, (x, y) is bit y + reach of row x + reach, so no shift is
     negative, and dropping the first reach rows makes row x one list index.
 
-    Raises DomainError for a non-finite epsilon or a unit outside [0, 65535].
+    Raises DomainError unless 0 <= epsilon < inf and 0 <= unit < 65536.
     """
     if not isfinite(epsilon):
         raise DomainError(f"epsilon={epsilon} is not finite")
+    if epsilon < 0:
+        raise DomainError(f"epsilon={epsilon} must be at least 0")
     if query_units and not 0 <= min(query_units) <= max(query_units) < GF_ORDER:
         raise DomainError(f"query units must lie in [0, {GF_ORDER - 1}]")
     if epsilon == 0:

@@ -6,6 +6,8 @@ deliberately shares no code with the package.
 """
 
 from collections import namedtuple
+from functools import cache
+from itertools import combinations
 
 GF_MODULUS = 0x1100B
 CRC_POLY = 0x8005
@@ -87,6 +89,45 @@ def horner_oracle(coeffs_high_first, u: int) -> int:
     for c in coeffs_high_first:
         acc = gf_mul_oracle(acc, u) ^ c
     return acc
+
+
+@cache
+def _gf_tables():
+    return gf_tables_oracle()
+
+
+def rs_decode_oracle(candidates):
+    """The polynomial of degree at most 8 that agrees with at least
+    ceil((m + 9) / 2) of the m candidates (distinct abscissas), as nine
+    coefficients highest degree first, or None: every nine-subset is
+    interpolated by Lagrange's formula and checked against all m.  Meant
+    for m <= 13, at most 715 subsets; products go through this module's
+    own log tables."""
+    exp, log = _gf_tables()
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    need = (len(candidates) + 10) // 2
+    for subset in combinations(candidates, 9):
+        coeffs = [0] * 9  # degree ascending
+        for i, (ai, yi) in enumerate(subset):
+            basis, den = [1], 1  # prod over k != i of (x - ak), and of (ai - ak)
+            for k, (ak, _) in enumerate(subset):
+                if k != i:
+                    basis = [mul(c, ak) ^ d for c, d in zip(basis + [0], [0] + basis)]
+                    den = mul(den, ai ^ ak)
+            scale = mul(yi, exp[65535 - log[den]])
+            coeffs = [c ^ mul(scale, b) for c, b in zip(coeffs, basis)]
+        agree = 0
+        for x, y in candidates:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = mul(acc, x) ^ c
+            agree += acc == y
+        if agree >= need:
+            return tuple(reversed(coeffs))
+    return None
 
 
 def generate_chaff_oracle(genuine_us, poly, count, rng):

@@ -1,11 +1,12 @@
-"""Stdlib-only check that vault bytes do not depend on the interpreter.
+"""Stdlib-only check that vault bytes and decodes do not vary by interpreter.
 
 The IFV2 golden bytes rest on ``random``'s stream, ``struct`` and the lane
 kernel's ``itemgetter`` gathers, so this script rebuilds the three frames
 that ``test_templates.py::TestVaultFrame::test_golden_bytes_ifv2`` pins and
 compares the lane kernel and the chaff draw with their scalar references,
-without pytest or Hypothesis.  Run it from the repository root under each
-interpreter to check:
+and hashes the Reed-Solomon decoder's answers on a fixed mix of candidate
+sets, without pytest or Hypothesis.  Run it from the repository root under
+each interpreter to check:
 
     PYTHONPATH=src python tests/portability_check.py
 
@@ -25,7 +26,9 @@ from irisvault.templates import synth_template  # noqa: E402
 from irisvault.vault import (  # noqa: E402
     VaultParams,
     _eval_poly_many,
+    _rs_decode,
     build_vault,
+    decode_secret,
     eval_poly,
     generate_chaff,
     write_vault,
@@ -51,6 +54,39 @@ def golden_digests() -> bool:
         print(f"IFV2 seed {seed}: {'ok' if got == digest else 'MISMATCH ' + got}")
         ok &= got == digest
     return ok
+
+
+# SHA-256 of _rs_decode's answers on decoder_cases(400), as computed when Gao's
+# algorithm still ran on all m candidates: the residual form must not move one.
+GOLDEN_DECODES = "2fc1c9ae9721e7b1d639ca7239d8ba6b4e946f7b024dc6f7b092d84783140ada"
+
+
+def decoder_cases(count: int):
+    """Candidate sets of m = 9..60 points on a random degree-8 polynomial,
+    in turn with no error, with errors within floor((m - 9) / 2), with one
+    error past it, and with every ordinate random; every other set draws
+    its abscissas below 64, so 0 is often among them."""
+    rng = random.Random(22)
+    for i in range(count):
+        m = rng.randint(9, 60)
+        xs = rng.sample(range(rng.choice((64, 0x10000))), m)
+        coeffs = [rng.randrange(0x10000) for _ in range(9)]
+        points = [(x, eval_poly(coeffs, x)) for x in xs]
+        radius = (m - 9) // 2
+        errors = (0, rng.randint(0, radius), radius + 1, m)[i % 4]
+        for j in rng.sample(range(m), errors):
+            points[j] = (points[j][0], points[j][1] ^ rng.randrange(1, 0x10000))
+        yield points
+
+
+def decoder_digest(count: int) -> bool:
+    digest = hashlib.sha256()
+    for points in decoder_cases(count):
+        coeffs = _rs_decode(points)
+        digest.update(b"-" if coeffs is None else decode_secret(coeffs))
+    got = digest.hexdigest()
+    print(f"decoder: {'ok' if got == GOLDEN_DECODES else 'MISMATCH ' + got}")
+    return got == GOLDEN_DECODES
 
 
 def lane_kernel(cases: int) -> bool:
@@ -79,5 +115,5 @@ def chaff_draw(seeds: int) -> bool:
 
 if __name__ == "__main__":
     print(sys.version.split()[0])
-    results = [golden_digests(), lane_kernel(3000), chaff_draw(20)]
+    results = [golden_digests(), lane_kernel(3000), chaff_draw(20), decoder_digest(400)]
     sys.exit(0 if all(results) else 1)

@@ -50,6 +50,7 @@ from oracles import (
     lock_units_oracle,
     match_candidates_oracle,
     root_product_oracle,
+    rs_decode_oracle,
 )
 from vectors import FUZZY, TOKEN
 
@@ -460,7 +461,7 @@ class TestMatchCandidates:
         assert match_candidates(clear, [12 << 8 | 101], epsilon=0) == []
 
     @given(st.lists(grid_units, max_size=80), st.lists(grid_units, max_size=25),
-           st.sampled_from((0, 0.5, 1, 1.5, 2, 2.5, 8, 40, 255, 363, 10**6)))
+           st.sampled_from((-0.0, 0, 0.5, 1, 1.5, 2, 2.5, 8, 40, 255, 363, 10**6)))
     @settings(max_examples=300, deadline=None)
     # Discs that cross y = 0 and y = 255, into the padding bits on both sides.
     @example([unit(100, y) for y in (0, 1, 11, 12, 243, 244, 255)]
@@ -492,6 +493,8 @@ class TestMatchCandidates:
         ([unit(3, 3)], float("nan"), "epsilon=nan is not finite"),
         ([-1], 2, r"query units must lie in \[0, 65535\]"),
         ([unit(3, 3), 65536], 2, r"query units must lie in \[0, 65535\]"),
+        ([unit(3, 3)], -2, "epsilon=-2 must be at least 0"),
+        ([unit(3, 3)], -0.5, "epsilon=-0.5 must be at least 0"),
     ])
     def test_domain(self, query, epsilon, message):
         # Unit -1 decodes to (-1, 255), off the grid; a unit further below 0
@@ -522,6 +525,23 @@ def noisy_codewords(draw, extra_errors):
     deltas = draw(st.lists(st.integers(1, 0xFFFF), min_size=errors, max_size=errors))
     points = [(x, eval_poly_oracle(coeffs, x)) for x in xs]
     return coeffs, corrupt(points, where, deltas)
+
+
+@st.composite
+def candidate_sets(draw, max_m):
+    """m = 9..max_m candidates with distinct abscissas, 0 and small ones
+    often among them: either on a polynomial of any degree up to 8, zero
+    included, with any number of the ordinates changed, or with every
+    ordinate random."""
+    m = draw(st.integers(9, max_m))
+    xs = draw(st.lists(st.one_of(st.integers(0, 15), st.integers(0, 0xFFFF)),
+                       min_size=m, max_size=m, unique=True))
+    if draw(st.booleans()):
+        return [(x, draw(st.integers(0, 0xFFFF))) for x in xs]
+    coeffs = draw(st.tuples(*[st.one_of(st.just(0), st.integers(0, 0xFFFF))] * 9))
+    where = draw(st.lists(st.integers(0, m - 1), max_size=m, unique=True))
+    deltas = draw(st.lists(st.integers(1, 0xFFFF), min_size=len(where), max_size=len(where)))
+    return corrupt([(x, eval_poly_oracle(coeffs, x)) for x in xs], where, deltas)
 
 
 class TestRsDecode:
@@ -559,19 +579,36 @@ class TestRsDecode:
             _times_linear(prod, a)
         assert prod == root_product_oracle(roots)
 
+    @given(candidate_sets(max_m=13))
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_every_nine_subset_oracle(self, points):
+        assert _rs_decode(points) == rs_decode_oracle(points)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_order_gives_the_same_answer(self, data):
+        # Gao runs on the residual from the first nine candidates' interpolant,
+        # so which nine come first changes every step but not the answer.
+        points = data.draw(candidate_sets(max_m=60))
+        assert _rs_decode(data.draw(st.permutations(points))) == _rs_decode(points)
+
     @pytest.mark.parametrize("zeros, expect", [(15, (0,) * 9), (14, None)])
     def test_euclid_remainder_reaches_zero(self, zeros, expect):
         # The nonzero ordinates sit on the lowest abscissas, so the first
-        # nine fail and Gao runs.  With 15 zeros its remainder reaches the
-        # zero polynomial, which has the 15 agreements m = 20 needs; with 14
-        # it falls one short.
+        # nine are off the zero polynomial and Gao runs on the residual from
+        # their interpolant h.  With 15 zeros, the zero polynomial agrees
+        # with the 15 candidates m = 20 needs and is h plus Gao's answer,
+        # not a zero remainder: that would need ceil((m - 9) / 2) later
+        # candidates on h, and the scan returns h first.  With 14 it falls
+        # one short.
         points = [(x, 0x1234 if x <= 20 - zeros else 0) for x in range(1, 21)]
         assert _rs_decode(points) == expect
 
     def test_ten_candidates_one_off_the_curve(self):
         # At m = 10 no error is correctable: whether the bad point is among
-        # the first nine or is the tenth, no polynomial agrees with all ten,
-        # and Gao's decoder, which then runs, rejects by itself.
+        # the first nine or is the tenth, no polynomial agrees with all ten.
+        # Gao then runs on one later residual, a constant T, takes no
+        # Euclid step and rejects because deg r = deg v = 0.
         coeffs = (7, 0, 0, 0, 0, 0, 0, 1, 0x1234)
         points = [(x, eval_poly_oracle(coeffs, x)) for x in range(10)]
         assert _rs_decode(points) == coeffs
