@@ -43,7 +43,9 @@ on the residual y - h at degree m - 9, recovers the polynomial from m
 candidates with distinct abscissas when at most floor((m - 9) / 2) are chaff.
 A decode is accepted only when the polynomial agrees with at least
 ceil((m + 9) / 2) candidates and its payload passes the CRC.  Within that
-radius the polynomial is unique, so the candidates' order does not matter.
+radius the polynomial is unique, so the candidates' order does not matter:
+at epsilon > 0 each candidate closer than d to another goes last, since
+lock units are pruned at d, and the first nine then rarely need Euclid.
 """
 
 from __future__ import annotations
@@ -426,6 +428,28 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
     return tuple(c ^ d for c, d in zip(coeffs, [0] * (N_COEFFS - len(g)) + g[::-1]))
 
 
+def _conflicts_last(candidates: list[tuple[int, int]], d: int) -> list[tuple[int, int]]:
+    """The candidates, sorted by abscissa, with each one whose point lies
+    closer than ``d`` to another's moved to the end, both parts in order.
+    A candidate is compared only with the later ones fewer than d << 8
+    abscissas on, which holds every one fewer than d columns on."""
+    reach, far = d << 8, d * d
+    m = len(candidates)
+    late = set()
+    for j, p in enumerate(candidates, 1):
+        a = p[0]
+        while j < m:
+            o = candidates[j]
+            b = o[0]
+            if b - a >= reach:  # and so is every later one
+                break
+            dx, dy = (b >> 8) - (a >> 8), (b & 0xFF) - (a & 0xFF)
+            if dx * dx + dy * dy < far:
+                late.update((p, o))
+            j += 1
+    return sorted(candidates, key=late.__contains__) if late else candidates
+
+
 def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
                    rng: random.Random) -> list[tuple[int, int]]:
     """Uniform decoy ``(a, b)`` points that avoid genuine abscissas and the
@@ -439,7 +463,10 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     abscissa is already taken are dropped first, the rest evaluated in one
     lane-parallel :func:`_eval_poly_many` call and accepted in draw order,
     so a repeat within a draw loses to its first copy, as pair by pair.
+    DomainError unless ``count`` is an int >= 0, as in :class:`VaultParams`.
     """
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise DomainError(f"chaff count must be an int >= 0, not {count!r}")
     if count + len(genuine_us) > GF_ORDER:
         raise DomainError(f"{count} chaff + {len(genuine_us)} genuine exceed {GF_ORDER} abscissas")
     used = set(genuine_us)
@@ -600,7 +627,9 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
     a new :class:`VaultParams` of the vault's r, c and d carries it, and
     checks it like the stored one.  Candidates whose abscissa occurs more
     than once are dropped (a correct key never decrypts two points to one
-    abscissa), and the rest are decoded once as a Reed-Solomon code.  The
+    abscissa), and the rest are decoded once as a Reed-Solomon code, at
+    epsilon > 0 with those closer than d to another last: two such cannot
+    both be genuine, and the answer does not depend on the order.  The
     secret is returned only when the decoded polynomial agrees with at
     least ceil((m + 9) / 2) of the m candidates and its payload passes the
     CRC, so up to floor((m - 9) / 2) matched chaff points are tolerated.
@@ -629,6 +658,8 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
         )
     if max_combinations <= 0:
         raise UnlockError(f"decode attempts capped at {max_combinations}")
+    if params.epsilon:  # at 0 every candidate is a query unit, pruned at d
+        candidates = _conflicts_last(candidates, params.d)
     coeffs = _rs_decode(candidates)
     if coeffs is None:
         raise UnlockError(

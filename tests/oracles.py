@@ -198,6 +198,19 @@ def match_candidates_oracle(points, query_units, epsilon):
     return hits
 
 
+def conflicts_last_oracle(candidates, d):
+    """Every pair compared: the candidates with no other closer than ``d``
+    on the grid, then the rest, each part in list order."""
+    def near(p, q):
+        dx, dy = p[0] // 256 - q[0] // 256, p[0] % 256 - q[0] % 256
+        return dx * dx + dy * dy < d * d
+
+    late = [any(i != j and near(p, q) for j, q in enumerate(candidates))
+            for i, p in enumerate(candidates)]
+    return ([p for p, bad in zip(candidates, late) if not bad]
+            + [p for p, bad in zip(candidates, late) if bad])
+
+
 def prune_close_oracle(points, min_dist):
     """Greedy pruning in list order: a point is kept iff its squared distance
     to every point kept before it is at least ``min_dist`` squared."""

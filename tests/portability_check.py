@@ -5,8 +5,9 @@ kernel's ``itemgetter`` gathers, so this script rebuilds the three frames
 that ``test_templates.py::TestVaultFrame::test_golden_bytes_ifv2`` pins and
 compares the lane kernel and the chaff draw with their scalar references,
 and hashes the Reed-Solomon decoder's answers on a fixed mix of candidate
-sets, without pytest or Hypothesis.  Run it from the repository root under
-each interpreter to check:
+sets, as drawn and in open_vault's conflicts-last order, without pytest or
+Hypothesis.  Run it from the repository root under each interpreter to
+check:
 
     PYTHONPATH=src python tests/portability_check.py
 
@@ -25,6 +26,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from irisvault.templates import synth_template  # noqa: E402
 from irisvault.vault import (  # noqa: E402
     VaultParams,
+    _conflicts_last,
     _eval_poly_many,
     _rs_decode,
     build_vault,
@@ -80,13 +82,21 @@ def decoder_cases(count: int):
 
 
 def decoder_digest(count: int) -> bool:
-    digest = hashlib.sha256()
-    for points in decoder_cases(count):
-        coeffs = _rs_decode(points)
-        digest.update(b"-" if coeffs is None else decode_secret(coeffs))
-    got = digest.hexdigest()
-    print(f"decoder: {'ok' if got == GOLDEN_DECODES else 'MISMATCH ' + got}")
-    return got == GOLDEN_DECODES
+    """The digest of the answers on the cases as drawn, and on the same cases
+    sorted and reordered as open_vault does at d = 4: the decoder's answer
+    must not depend on the order, and the small-abscissa sets, all in grid
+    column 0, are mostly reordered."""
+    ok = True
+    for label, order in (("decoder", list),
+                         ("decoder, conflicts last", lambda p: _conflicts_last(sorted(p), 4))):
+        digest = hashlib.sha256()
+        for points in decoder_cases(count):
+            coeffs = _rs_decode(order(points))
+            digest.update(b"-" if coeffs is None else decode_secret(coeffs))
+        got = digest.hexdigest()
+        print(f"{label}: {'ok' if got == GOLDEN_DECODES else 'MISMATCH ' + got}")
+        ok &= got == GOLDEN_DECODES
+    return ok
 
 
 def lane_kernel(cases: int) -> bool:

@@ -23,6 +23,7 @@ from irisvault.vault import (
     VaultParams,
     _LANES_MIN,
     _cipher,
+    _conflicts_last,
     _eval_poly_many,
     _newton_expand,
     _newton_extend,
@@ -45,6 +46,7 @@ from irisvault.vault import (
 
 from oracles import (
     cipher_points_oracle,
+    conflicts_last_oracle,
     eval_poly_oracle,
     generate_chaff_oracle,
     lock_units_oracle,
@@ -319,6 +321,12 @@ class TestChaff:
         with pytest.raises(DomainError, match="exceed 65536 abscissas"):
             generate_chaff(set(range(100)), poly, 65537 - 100, random.Random(0))
 
+    @pytest.mark.parametrize("count", [-3, 2.0, True, None])
+    def test_count_must_be_an_int_at_least_zero(self, count):
+        poly = encode_secret(bytes(18))
+        with pytest.raises(DomainError, match=r"^chaff count must be an int >= 0, not "):
+            generate_chaff(set(), poly, count, random.Random(0))
+
 
 def make_vault(seed=0, params=None, secret=SECRET, cp=FUZZY):
     template = synth_template(seed, 20, 4)
@@ -432,6 +440,12 @@ def test_template_units_compose_transform_prune_and_lock(template, password, r, 
     ready = prune_close(transform_template(template, derive_blocks(cp)), d)
     units = _template_units(template, cp, params)
     assert units == lock_units_oracle(ready, r)
+    # Pruned at d, no two lock units are closer than d: open_vault's
+    # candidate order relies on it.
+    for i, u in enumerate(units):
+        for v in units[i + 1:]:
+            dx, dy = (u >> 8) - (v >> 8), (u & 0xFF) - (v & 0xFF)
+            assert dx * dx + dy * dy >= d * d
     if len(units) < r:
         with pytest.raises(DomainError) as got:
             build_vault(template, SECRET, cp, params, random.Random(0))
@@ -614,6 +628,74 @@ class TestRsDecode:
         assert _rs_decode(points) == coeffs
         for bad in (0, 3, 9):
             assert _rs_decode(corrupt(points, [bad], [1])) is None
+
+
+class TestConflictsLast:
+    def test_conflict_free_list_comes_back_unchanged(self):
+        points = [(unit(x, (7 * x) % 256), x) for x in range(0, 250, 10)]
+        assert _conflicts_last(points, 4) == points
+
+    def test_close_pair_goes_last_in_abscissa_order(self):
+        # (30, 50) and (31, 52) lie sqrt(5) apart, closer than 4.
+        points = [(unit(10, 10), 1), (unit(30, 50), 2), (unit(31, 52), 3),
+                  (unit(60, 0), 4), (unit(90, 9), 5)]
+        assert _conflicts_last(points, 4) == [points[i] for i in (0, 3, 4, 1, 2)]
+
+    # Each list holds a point far from the rest, which would move ahead of
+    # them if they moved.
+    @pytest.mark.parametrize("points, d", [
+        # A 3-4-5 triangle, then a step along x and one along y.
+        ([(10, 10), (13, 14), (18, 14), (18, 19), (90, 90)], 5),
+        # Fewer than d << 8 abscissas apart, yet d columns on: the scan
+        # compares them and keeps both.
+        ([(20, 200), (24, 197), (90, 90)], 4),
+        # Steps of d at the grid's corners.
+        ([(0, 0), (0, 4), (4, 4), (128, 128), (255, 251), (255, 255)], 4),
+    ])
+    def test_pair_exactly_d_apart_stays(self, points, d):
+        points = [(unit(x, y), i) for i, (x, y) in enumerate(points)]
+        assert _conflicts_last(points, d) == points
+
+    def test_zero_moves_nothing(self):
+        # Neighbouring cells: at d = 0 and 1 no pair is closer than d, at 2
+        # the diagonal one is.
+        points = [(unit(5, 5), 1), (unit(5, 6), 2), (unit(6, 5), 3), (unit(6, 6), 4)]
+        assert _conflicts_last(points, 0) == points
+        assert _conflicts_last(points, 1) == points
+        assert _conflicts_last([points[0], points[3], (unit(9, 0), 5)], 2)[-1] == points[3]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_permutation_with_the_same_decode(self, data):
+        points = sorted(data.draw(candidate_sets(max_m=60)))
+        d = data.draw(st.integers(0, 16))
+        got = _conflicts_last(points, d)
+        assert got == conflicts_last_oracle(points, d)
+        assert sorted(got) == points
+        assert _rs_decode(got) == _rs_decode(points)
+
+    def test_open_vault_decodes_conflict_free_candidates_first(self, monkeypatch):
+        # Twelve lock units far apart and one chaff point a pixel off the
+        # third, so the chaff's abscissa lies below the ninth unit's and
+        # matches at epsilon 2.  The chaff and that unit go last, and the
+        # first nine candidates the decoder sees are all genuine.
+        cp = CombinedPassword(bytes(8))
+        poly = encode_secret(append_crc(mask_secret(SECRET, cp)))
+        units = [unit(20 * i + 5, (40 * i + 7) % 256) for i in range(12)]
+        genuine = [(a, eval_poly(poly, a)) for a in units]
+        chaff = (unit(46, 87), eval_poly(poly, unit(46, 87)) ^ 1)
+        assert units[2] == unit(45, 87) and units[1] < chaff[0] < units[8]
+        vault = encrypt_vault(VaultParams(r=12, c=1, d=4, epsilon=2), genuine + [chaff], cp)
+        seen = []
+        decode = _rs_decode
+        monkeypatch.setattr("irisvault.vault._rs_decode",
+                            lambda candidates: seen.append(list(candidates)) or decode(candidates))
+        query = [MinutiaPoint(a >> 8, a & 0xFF) for a in units]
+        assert open_vault(vault, query, cp) == SECRET
+        [candidates] = seen
+        assert sorted(candidates) == sorted(genuine + [chaff])
+        assert set(candidates[:9]) <= set(genuine)
+        assert candidates[-2:] == [genuine[2], chaff]
 
 
 class TestOpenVault:
