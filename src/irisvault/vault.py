@@ -19,9 +19,7 @@ A vault file is one frame, which :func:`write_vault` writes and
     4 reserved zero bytes | (r + c) point records of (a BE16, b BE16)
 
 The header is plaintext.  r + c is at most 65536, the number of distinct
-abscissas.  IFV1 frames ("IFV1", version 0x01) have the same layout and a
-keystream keyed by the password alone; they are still read, decrypted and
-written back unchanged.
+abscissas.  IFV1 frames, keyed by the password alone, are refused.
 
 No chaff point may lie on the polynomial, so every drawn abscissa is
 evaluated, a whole draw at once by :func:`_eval_poly_many`.  It sums the
@@ -126,46 +124,44 @@ POINT_RECORD = struct.Struct(">HH")  # abscissa, ordinate: big-endian 16-bit wor
 
 # magic, version, degree, r, c, d, epsilon, 4 reserved zero bytes
 VAULT_HEADER = struct.Struct(">4sBBHHBBI")
-VAULT_MAGICS = {1: b"IFV1", 2: b"IFV2"}
+VAULT_MAGIC = b"IFV2"
 VAULT_VERSION = 2
 
 
-def vault_header(params: VaultParams, version: int = VAULT_VERSION) -> bytes:
-    """The 16-byte header that starts a vault file of ``version``."""
-    return VAULT_HEADER.pack(VAULT_MAGICS[version], version, POLY_DEGREE,
+def vault_header(params: VaultParams) -> bytes:
+    """The 16-byte header that starts a vault file."""
+    return VAULT_HEADER.pack(VAULT_MAGIC, VAULT_VERSION, POLY_DEGREE,
                              params.r, params.c, params.d, params.epsilon, 0)
 
 
-class Vault(namedtuple("Vault", "params records version", defaults=(VAULT_VERSION,))):
-    """Parameters, points as stored and format version: ``records`` holds
-    one :data:`POINT_RECORD` per point, the vault file's point region, with
-    the keystream xored over it, so without the password the records carry
-    no structure.  The keystream of version 2 (IFV2, the default) is keyed
-    by the header and the password, that of version 1 (IFV1) by the
-    password alone.  :func:`decrypt_vault` returns the clear ``(a, b)``
-    points."""
+class Vault(namedtuple("Vault", "params records")):
+    """Parameters and points as stored: ``records`` holds one
+    :data:`POINT_RECORD` per point, the vault file's point region, with the
+    keystream of the header and the password xored over it, so without the
+    password the records carry no structure.  :func:`decrypt_vault` returns
+    the clear ``(a, b)`` points."""
 
     __slots__ = ()
 
 
 def write_vault(vault: Vault) -> bytes:
-    """Serialize a vault to the frame of its version: the header, then its
-    records."""
-    return vault_header(vault.params, vault.version) + vault.records
+    """Serialize a vault to its frame: the header, then its records."""
+    return vault_header(vault.params) + vault.records
 
 
 def read_vault(data: bytes) -> Vault:
-    """Check an IFV2 or IFV1 frame and return it as a :class:`Vault` of that
-    version, holding the point region as stored, copied to ``bytes`` and not
-    parsed.  Nonzero reserved bytes are a DomainError, as is every other
-    malformed frame, so every accepted frame is what write_vault gives
-    back."""
+    """Check a frame and return it as a :class:`Vault` holding the point
+    region as stored, copied to ``bytes`` and not parsed.  Nonzero reserved
+    bytes are a DomainError, as is every other malformed frame, so every
+    accepted frame is what write_vault gives back."""
     if len(data) < VAULT_HEADER.size:
         raise DomainError(f"stream of {len(data)} bytes is shorter than the header")
     magic, version, n, r, c, d, epsilon, reserved = VAULT_HEADER.unpack_from(data)
-    if magic not in VAULT_MAGICS.values():
-        raise DomainError(f"bad magic {magic!r}, expected b'IFV2' or b'IFV1'")
-    if VAULT_MAGICS.get(version) != magic:
+    if magic == b"IFV1":
+        raise DomainError("IFV1 vaults are no longer read; enrol again")
+    if magic != VAULT_MAGIC:
+        raise DomainError(f"bad magic {magic!r}, expected {VAULT_MAGIC!r}")
+    if version != VAULT_VERSION:
         raise DomainError(f"unsupported version {version} for magic {magic!r}")
     if n != POLY_DEGREE:
         raise DomainError(f"unsupported polynomial degree {n}")
@@ -181,7 +177,7 @@ def read_vault(data: bytes) -> Vault:
             f"point region holds {len(data) - VAULT_HEADER.size} bytes, "
             f"expected {expected - VAULT_HEADER.size} for {params.total} points"
         )
-    return Vault(params, bytes(data[VAULT_HEADER.size:]), version)
+    return Vault(params, bytes(data[VAULT_HEADER.size:]))
 
 
 def _template_units(template: Template, cp: CombinedPassword, params: VaultParams) -> list[int]:
@@ -483,46 +479,17 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     return chaff
 
 
-def _xor(records: bytes, stream: bytes) -> bytes:
-    """``records`` xored with the equally long ``stream``, as one integer."""
+def _shake_cipher(records: bytes, header: bytes, cp: CombinedPassword) -> bytes:
+    """xor the keystream, SHAKE-128 of ``header || cp.data``, over
+    ``records`` as one integer; xor is its own inverse."""
+    stream = shake_128(header + cp.data).digest(len(records))
     xored = int.from_bytes(records, "big") ^ int.from_bytes(stream, "big")
     return xored.to_bytes(len(records), "big")
 
 
-# The IFV1 keystream state must be nonzero, so an all-zero password seeds
-# it with this documented constant.
-ZERO_SEED_FALLBACK = 0x9E3779B97F4A7C15
-
-
-def _cipher(records: bytes, cp: CombinedPassword) -> bytes:
-    """xor the IFV1 keystream over ``records``: a xorshift*-style 64-bit
-    generator seeded by the password alone, read as a big-endian integer,
-    blocks big-endian and the last one cut to length; xor is its own
-    inverse.
-
-    Reproducibility-grade whitening, not a vetted cipher, kept only so that
-    IFV1 vaults still open.
-    """
-    mask = (1 << 64) - 1
-    s = int.from_bytes(cp.data, "big") or ZERO_SEED_FALLBACK
-    blocks = []
-    for _ in range(-(-len(records) // 8)):
-        s ^= s >> 12
-        s ^= (s << 25) & mask
-        s ^= s >> 27
-        blocks.append((s * 0x2545F4914F6CDD1D) & mask)
-    return _xor(records, struct.pack(f">{len(blocks)}Q", *blocks)[:len(records)])
-
-
-def _shake_cipher(records: bytes, header: bytes, cp: CombinedPassword) -> bytes:
-    """xor the IFV2 keystream, SHAKE-128 of ``header || cp.data``, over
-    ``records``."""
-    return _xor(records, shake_128(header + cp.data).digest(len(records)))
-
-
 def encrypt_vault(params: VaultParams, points: Sequence[tuple[int, int]],
                   cp: CombinedPassword) -> Vault:
-    """The stored IFV2 vault for clear ``(a, b)`` points: their packed records
+    """The stored vault for clear ``(a, b)`` points: their packed records
     with the keystream of its header and ``cp`` xored over them.  Inverse of
     :func:`decrypt_vault`."""
     records = struct.pack(f">{2 * len(points)}H", *chain.from_iterable(points))
@@ -531,12 +498,9 @@ def encrypt_vault(params: VaultParams, points: Sequence[tuple[int, int]],
 
 def decrypt_vault(vault: Vault, cp: CombinedPassword) -> list[tuple[int, int]]:
     """The clear points of a stored vault under ``cp``, one plain ``(a, b)``
-    tuple per record.  A wrong password, or an IFV2 header edited since
+    tuple per record.  A wrong password, or a header edited since
     enrolment, yields points with no structure, not an error."""
-    if vault.version == 1:
-        clear = _cipher(vault.records, cp)
-    else:
-        clear = _shake_cipher(vault.records, vault_header(vault.params, vault.version), cp)
+    clear = _shake_cipher(vault.records, vault_header(vault.params), cp)
     return list(POINT_RECORD.iter_unpack(clear))
 
 

@@ -222,35 +222,6 @@ def prune_close_oracle(points, min_dist):
     return kept
 
 
-def _keystream_words(seed: int, count: int):
-    """xorshift*-style 64-bit keystream, emitted as 16-bit big-endian words.
-
-    Reproducibility-grade whitening keyed by the password, not a vetted
-    cipher; ``seed`` must be nonzero, as the IFV1 cipher ensures by seeding
-    an all-zero password with a fixed constant instead.
-    """
-    mask = (1 << 64) - 1
-    s = seed & mask
-    emitted = 0
-    while emitted < count:
-        s ^= s >> 12
-        s ^= (s << 25) & mask
-        s ^= s >> 27
-        out = (s * 0x2545F4914F6CDD1D) & mask
-        for shift in (48, 32, 16, 0):
-            if emitted == count:
-                break
-            yield (out >> shift) & 0xFFFF
-            emitted += 1
-
-
-def cipher_points_oracle(points, seed: int):
-    """The keystream xored over the (a, b) points word by word, one 64-bit
-    block per two points; xor is its own inverse."""
-    words = _keystream_words(seed, 2 * len(points))
-    return [(p[0] ^ next(words), p[1] ^ next(words)) for p in points]
-
-
 Point = namedtuple("Point", "x y")
 
 

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -14,6 +15,7 @@ from irisvault.vault import build_vault, write_vault
 from vectors import FUZZY, KNOWN_BLOCKS, KNOWN_TRANSFORMS, REFERENCE_POINTS
 
 NOT_UTF8 = b"\xff\xfe 1 2\n"
+DATA = Path(__file__).parent / "data"
 
 PASSWORD_FLAGS = {
     "FUZZY": ["--height", "155", "--eye-color", "brown", "--gender", "M",
@@ -94,6 +96,15 @@ class TestEnrollVerify:
         vault.write_bytes(vault.read_bytes()[:100])
         assert verify(template, vault) == 2
         capsys.readouterr()
+
+    def test_ifv1_vault_exits_2(self, tmp_path, capsys):
+        # The file was enrolled from this template and password.
+        template = tmp_path / "seed0.txt"
+        template.write_text(write_template(synth_template(0, 20, 4)))
+        assert verify(template, DATA / "ifv1-seed0.vault") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: IFV1 vaults are no longer read; enrol again\n"
 
     def test_edited_epsilon_exits_1(self, workspace, capsys):
         # The header keys the keystream: a widened epsilon (byte 11) leaves

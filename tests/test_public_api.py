@@ -68,6 +68,9 @@ def test_readme_library_names_resolve():
     ("irisvault.password", "ZERO_SEED_FALLBACK"),
     ("irisvault", "lock_units"),
     ("irisvault.vault", "lock_units"),
+    ("irisvault.vault", "_cipher"),
+    ("irisvault.vault", "ZERO_SEED_FALLBACK"),
+    ("irisvault.vault", "VAULT_MAGICS"),
     ("irisvault.templates", "read_vault"),
     ("irisvault.templates", "write_vault"),
 ])

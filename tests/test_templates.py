@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from irisvault.errors import DomainError
+from irisvault.errors import DomainError, UnlockError
 from irisvault.templates import parse_template, synth_template, write_template
 from irisvault.transform import MinutiaPoint
 from irisvault.vault import Vault, VaultParams, build_vault, open_vault, read_vault, write_vault
@@ -23,8 +23,8 @@ points = st.builds(MinutiaPoint, st.integers(0, 255), st.integers(0, 255))
 @st.composite
 def vault_like_frames(draw):
     """Frames with the IFV1 or IFV2 magic, either version, and a body near
-    the size r and c call for, so that parsing gets past the magic to its
-    later checks and meets every magic/version mismatch."""
+    the size r and c call for, so that parsing of an IFV2 frame gets past
+    the magic to its later checks and meets a wrong version."""
     r, c = draw(st.integers(0, 12)), draw(st.integers(0, 3))
     head = struct.pack(">4sBBHHBB4s", draw(st.sampled_from((b"IFV1", b"IFV2"))),
                        draw(st.sampled_from((1, 2))),
@@ -37,12 +37,12 @@ def vault_like_frames(draw):
 
 @st.composite
 def vaults(draw):
-    """Vaults of any valid shape with few points, in either version, their
-    records drawn at random."""
+    """Vaults of any valid shape with few points, their records drawn at
+    random."""
     params = draw(st.builds(VaultParams, st.integers(9, 40), st.integers(0, 40),
                             st.integers(0, 255), st.integers(0, 255)))
     records = draw(st.binary(min_size=4 * params.total, max_size=4 * params.total))
-    return Vault(params, records, draw(st.sampled_from((1, 2))))
+    return Vault(params, records)
 
 
 class TestTemplateText:
@@ -157,24 +157,27 @@ class TestVaultFrame:
     @pytest.mark.parametrize("seed, cp, digest, count, r", [
         (0, FUZZY, "aa1a32df8d7ac70a21340ac0244d41c3ccdf00032e37e55d41d6dd5a3f48a957", 20, 20),
         (7, TOKEN, "affa51c958426d67578c295e21261aedd0d24ae82b4fe629100e4c718e0dbb19", 20, 20),
-        # 221 records: the last keystream block is used only in half.
+        # 221 records: an odd record count.
         (3, FUZZY, "e54193a970032afdbd8314d46f1b64e78f33fe019d9fbcb15d7ab9cfb6e6cb32", 25, 21),
     ])
     def test_golden_bytes(self, seed, cp, digest, count, r):
-        # IFV1 files written before IFV2 existed, kept under tests/data:
-        # they must still parse, open and serialize back unchanged.
+        # IFV1 files written before IFV2 existed, kept under tests/data,
+        # are refused with a message that asks for a new enrolment.
         blob = (DATA / f"ifv1-seed{seed}.vault").read_bytes()
         assert len(blob) == 16 + 4 * (r + 200)
         assert hashlib.sha256(blob).hexdigest() == digest
-        vault = read_vault(blob)
-        assert vault.version == 1 and vault.params == VaultParams(r=r, c=200)
-        assert write_vault(vault) == blob
-        assert open_vault(vault, synth_template(seed, count, 4), cp) == bytes(16)
+        with pytest.raises(DomainError, match="^IFV1 vaults are no longer read; enrol again$"):
+            read_vault(blob)
+        # Read as IFV2, their records are noise even under the template and
+        # password they were enrolled with: refusing is the only answer.
+        as_ifv2 = read_vault(b"IFV2\x02" + blob[5:])
+        with pytest.raises(UnlockError):
+            open_vault(as_ifv2, synth_template(seed, count, 4), cp)
 
     @pytest.mark.parametrize("seed, cp, digest, count, r", [
         (0, FUZZY, "287abc8525cf9e3d3dfe31fbee32d5b833e21063518a1c0f18112b02283a2d13", 20, 20),
         (7, TOKEN, "574eb7abaf7f081cc0a0aa7a6e8eda931038a89122894c87d040c080b38f5787", 20, 20),
-        # 221 records: an odd record count, as for the IFV1 fixture.
+        # 221 records: an odd record count.
         (3, FUZZY, "0d96eed8eafd5e8aedaca85496866a1959aebfcfdc0e9a0608da2d3c94b10f87", 25, 21),
     ])
     def test_golden_bytes_ifv2(self, seed, cp, digest, count, r):
@@ -205,7 +208,6 @@ class TestVaultFrame:
     @given(st.one_of(st.binary(max_size=64), vault_like_frames()))
     # A frame that parses but for its reserved bytes: drawn frames reach one
     # only now and then.
-    @example(struct.pack(">4sBBHHBB4s", b"IFV1", 1, 8, 9, 0, 0, 0, b"\xab\0\0\0") + bytes(36))
     @example(struct.pack(">4sBBHHBB4s", b"IFV2", 2, 8, 9, 0, 0, 0, b"\0\0\0\xab") + bytes(36))
     def test_any_bytes_parse_or_raise_domain_error(self, data):
         try:
@@ -222,7 +224,14 @@ class TestVaultFrame:
         with pytest.raises(DomainError, match="reserved"):
             read_vault(bytes(blob))
 
-    @pytest.mark.parametrize("magic, version", [(b"IFV1", 2), (b"IFV2", 1)])
+    @given(st.one_of(vault_like_frames(), st.binary(min_size=16, max_size=64))
+           .map(lambda frame: b"IFV1" + frame[4:]))
+    def test_ifv1_frame_is_refused(self, data):
+        # Whatever its version, header and body.
+        with pytest.raises(DomainError, match="no longer read"):
+            read_vault(data)
+
+    @pytest.mark.parametrize("magic, version", [(b"IFV2", 1)])
     def test_magic_version_mismatch(self, magic, version):
         blob = bytearray(write_vault(self.make()))
         blob[:5] = magic + bytes([version])
@@ -236,7 +245,7 @@ class TestVaultFrame:
             read_vault(bytes(blob))
 
     @given(vaults())
-    @example(Vault(VaultParams(r=20, c=65516, d=255, epsilon=255), bytes(4 * 65536), 2))
+    @example(Vault(VaultParams(r=20, c=65516, d=255, epsilon=255), bytes(4 * 65536)))
     def test_frame_round_trip(self, vault):
         assert read_vault(write_vault(vault)) == vault
 

@@ -33,9 +33,8 @@ CASES = {
                       "EntropyReport(r=9, c=0, t=9, n=8, total_combinations=1, "
                       "required_combinations=1, evaluations=1.0, min_entropy_bits=0.0, "
                       "hardened_range_bits=(18.0, 30.0))"),
-    "Vault": (lambda: Vault(VaultParams(r=9, c=0), b"\x00\x01\xff", 1),
-              "Vault(params=VaultParams(r=9, c=0, d=4, epsilon=0), records=b'\\x00\\x01\\xff', "
-              "version=1)"),
+    "Vault": (lambda: Vault(VaultParams(r=9, c=0), b"\x00\x01\xff"),
+              "Vault(params=VaultParams(r=9, c=0, d=4, epsilon=0), records=b'\\x00\\x01\\xff')"),
 }
 
 
@@ -83,8 +82,7 @@ def test_keyword_positional_and_default_construction():
     assert TranslationBlock(tu=1, tv=2) == TranslationBlock(1, 2)
     assert MinutiaPoint(x=1, y=2) == MinutiaPoint(1, 2)
     params = VaultParams(r=9, c=0)
-    assert Vault(params, b"") == Vault(params=params, records=b"", version=2)
-    assert Vault(params, b"", 1) != Vault(params, b"", 2)
+    assert Vault(params, b"") == Vault(params=params, records=b"")
     assert analyze(20, 200, 8).hardened_range_rounded == (52, 64)
 
 

@@ -19,10 +19,8 @@ from irisvault.password import CombinedPassword, derive_blocks, mask_secret
 from irisvault.templates import synth_template
 from irisvault.transform import MinutiaPoint, prune_close, transform_template
 from irisvault.vault import (
-    Vault,
     VaultParams,
     _LANES_MIN,
-    _cipher,
     _conflicts_last,
     _eval_poly_many,
     _newton_expand,
@@ -45,7 +43,6 @@ from irisvault.vault import (
 )
 
 from oracles import (
-    cipher_points_oracle,
     conflicts_last_oracle,
     eval_poly_oracle,
     generate_chaff_oracle,
@@ -390,28 +387,6 @@ class TestBuildVault:
         # Ciphertext actually differs from plaintext.
         assert vault.records != b"".join(struct.pack(">HH", *p) for p in clear)
 
-    @given(st.integers(1, (1 << 64) - 1),
-           st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)), max_size=300))
-    # An odd count uses only the first half of the last keystream block.
-    @example(1, [(0, 0)] * 221)
-    def test_cipher_matches_word_oracle(self, seed, pairs):
-        # IFV1 records are the points under the password-seeded xorshift
-        # keystream; they decrypt for as long as IFV1 files must open.
-        cp = CombinedPassword(seed.to_bytes(8, "big"))
-        expect = cipher_points_oracle(pairs, seed)
-        stored = b"".join(struct.pack(">HH", *p) for p in expect)
-        assert decrypt_vault(Vault(VaultParams(), stored, version=1), cp) == pairs
-
-    def test_ifv1_cipher_seed(self):
-        # The IFV1 keystream is seeded by the password read big-endian.  Its
-        # state must be nonzero, so the zero password falls back to
-        # ZERO_SEED_FALLBACK.
-        for password, seed in [(FUZZY.data, 0x9B424D46555A5A59), (bytes(7) + b"\x01", 1),
-                               (bytes(8), 0x9E3779B97F4A7C15)]:
-            words = cipher_points_oracle([(0, 0)] * 3, seed)
-            expect = b"".join(struct.pack(">HH", *p) for p in words)
-            assert _cipher(bytes(12), CombinedPassword(password)) == expect
-
     @given(st.binary(min_size=8, max_size=8),
            st.integers(9, 0xFFFF).flatmap(lambda r: st.builds(
                VaultParams, st.just(r), st.integers(0, GF_ORDER - r),
@@ -427,7 +402,6 @@ class TestBuildVault:
         stream = hashlib.shake_128(header + password).digest(4 * len(pairs))
         clear = b"".join(struct.pack(">HH", *p) for p in pairs)
         vault = encrypt_vault(params, pairs, cp)
-        assert vault.version == 2
         assert vault.records == bytes(x ^ k for x, k in zip(clear, stream))
         assert decrypt_vault(vault, cp) == pairs
 
