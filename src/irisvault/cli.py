@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from pathlib import Path
 
 from . import security, templates
 from .errors import DomainError, IrisVaultError, UnlockError
@@ -53,7 +52,8 @@ def _params_from_args(args: argparse.Namespace) -> VaultParams:
 
 def _read_template(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     return templates.parse_template(text)
@@ -74,7 +74,8 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     else:
         secret = rng.randbytes(16)
     vault = build_vault(points, secret, cp, params, rng)
-    Path(args.vault).write_bytes(write_vault(vault))
+    with open(args.vault, "wb") as f:
+        f.write(write_vault(vault))
     print(f"vault written: {args.vault} ({params.total} points)", file=sys.stderr)
     print(secret.hex())
     return 0
@@ -82,7 +83,8 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cp = _password_from_args(args)
-    vault = read_vault(Path(args.vault).read_bytes())
+    with open(args.vault, "rb") as f:
+        vault = read_vault(f.read())
     points = _read_template(args.template)
     secret = open_vault(vault, points, cp, epsilon=args.epsilon,
                         max_combinations=args.max_combinations)
@@ -119,7 +121,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     points = templates.synth_template(args.seed, args.count, args.min_dist)
-    Path(args.out).write_text(templates.write_template(points))
+    with open(args.out, "w") as f:
+        f.write(templates.write_template(points))
     print(f"template written: {args.out} ({len(points)} points)", file=sys.stderr)
     return 0
 

@@ -110,7 +110,8 @@ def derive_blocks(cp: CombinedPassword) -> list[TranslationBlock]:
     blocks = []
     for i in range(4):
         word = (cp.data[2 * i] << 8) | cp.data[2 * i + 1]
-        blocks.append(TranslationBlock(tu=word >> 9, tv=word & 0x1FF))
+        # Built as VaultParams.__new__ does: TranslationBlock checks nothing.
+        blocks.append(tuple.__new__(TranslationBlock, (word >> 9, word & 0x1FF)))
     return blocks
 
 
@@ -121,5 +122,5 @@ def mask_secret(secret: bytes, cp: CombinedPassword) -> bytes:
     """
     if len(secret) != 16:
         raise DomainError(f"secret must be 16 bytes, got {len(secret)}")
-    pad = cp.data * 2
-    return bytes(s ^ p for s, p in zip(secret, pad))
+    pad = int.from_bytes(cp.data * 2, "big")
+    return (int.from_bytes(secret, "big") ^ pad).to_bytes(16, "big")

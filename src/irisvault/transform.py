@@ -42,14 +42,16 @@ def transform_template(points: Sequence[MinutiaPoint],
     """Translate every point by its quadrant's block (tu, tv), wrapping
     around inside the quadrant; order is preserved.  Quadrants start at
     multiples of 128, so the wrap is ``base + (x + tu % 128) % 128``: only
-    tu and tv mod 128 matter."""
-    shifts = [(b.tu % QUADRANT_SIZE, b.tv % QUADRANT_SIZE) for b in blocks]
+    tu and tv mod 128 matter.  MinutiaPoint checks nothing, so points are
+    built with ``tuple.__new__``."""
+    shifts = [(tu % QUADRANT_SIZE, tv % QUADRANT_SIZE) for tu, tv in blocks]
+    new = tuple.__new__
     out: Template = []
     for x, y in points:
         right, down = x >= QUADRANT_SIZE, y >= QUADRANT_SIZE
         tu, tv = shifts[right + 2 * down]
-        out.append(MinutiaPoint(right * QUADRANT_SIZE + (x + tu) % QUADRANT_SIZE,
-                                down * QUADRANT_SIZE + (y + tv) % QUADRANT_SIZE))
+        out.append(new(MinutiaPoint, (right * QUADRANT_SIZE + (x + tu) % QUADRANT_SIZE,
+                                      down * QUADRANT_SIZE + (y + tv) % QUADRANT_SIZE)))
     return out
 
 

@@ -7,9 +7,11 @@ points among uniformly random chaff, scrambles the list, packs it into 4-byte
 records and xors a keystream over them: SHAKE-128 of the vault's 16-byte
 header and the password, so a vault whose header was edited decrypts to
 noise.  A :class:`Vault` only ever holds those stored bytes, the point
-region of a vault file; the clear points exist as a plain
-``list[tuple[int, int]]`` of ``(a, b)`` pairs, abscissa then ordinate,
-between :func:`decrypt_vault` and :func:`encrypt_vault`.
+region of a vault file; between :func:`decrypt_vault` and
+:func:`encrypt_vault` the clear points exist as one flat sequence of 16-bit
+words a0, b0, a1, b1, ..., abscissa then ordinate per record, and
+:func:`match_candidates` builds ``(a, b)`` tuples only for the points it
+keeps.
 A polynomial is a plain tuple of nine coefficients, highest degree first.
 
 A vault file is one frame, which :func:`write_vault` writes and
@@ -50,9 +52,11 @@ from __future__ import annotations
 
 import random
 import struct
+import sys
+from array import array
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, compress
 from math import floor, isfinite, isqrt
 from operator import itemgetter
 
@@ -139,7 +143,7 @@ class Vault(namedtuple("Vault", "params records")):
     :data:`POINT_RECORD` per point, the vault file's point region, with the
     keystream of the header and the password xored over it, so without the
     password the records carry no structure.  :func:`decrypt_vault` returns
-    the clear ``(a, b)`` points."""
+    the clear words."""
 
     __slots__ = ()
 
@@ -206,9 +210,12 @@ def encode_secret(payload: bytes) -> tuple[int, ...]:
     )
 
 
+_COEFFS = struct.Struct(f">{N_COEFFS}H")
+
+
 def decode_secret(coeffs: Sequence[int]) -> bytes:
     """Inverse of :func:`encode_secret`."""
-    return b"".join(c.to_bytes(2, "big") for c in coeffs)
+    return _COEFFS.pack(*coeffs)
 
 
 def eval_poly(coeffs: Sequence[int], u: int) -> int:
@@ -487,21 +494,24 @@ def _shake_cipher(records: bytes, header: bytes, cp: CombinedPassword) -> bytes:
     return xored.to_bytes(len(records), "big")
 
 
-def encrypt_vault(params: VaultParams, points: Sequence[tuple[int, int]],
+def encrypt_vault(params: VaultParams, words: Sequence[int],
                   cp: CombinedPassword) -> Vault:
-    """The stored vault for clear ``(a, b)`` points: their packed records
-    with the keystream of its header and ``cp`` xored over them.  Inverse of
-    :func:`decrypt_vault`."""
-    records = struct.pack(f">{2 * len(points)}H", *chain.from_iterable(points))
+    """The stored vault for clear points given as flat words a0, b0, a1,
+    b1, ...: their packed records with the keystream of its header and
+    ``cp`` xored over them.  Inverse of :func:`decrypt_vault`."""
+    records = struct.pack(f">{len(words)}H", *words)
     return Vault(params, _shake_cipher(records, vault_header(params), cp))
 
 
-def decrypt_vault(vault: Vault, cp: CombinedPassword) -> list[tuple[int, int]]:
-    """The clear points of a stored vault under ``cp``, one plain ``(a, b)``
-    tuple per record.  A wrong password, or a header edited since
-    enrolment, yields points with no structure, not an error."""
-    clear = _shake_cipher(vault.records, vault_header(vault.params), cp)
-    return list(POINT_RECORD.iter_unpack(clear))
+def decrypt_vault(vault: Vault, cp: CombinedPassword) -> array:
+    """The clear points of a stored vault under ``cp``, as one
+    ``array('H')`` of words a0, b0, a1, b1, ..., two per record.  A wrong
+    password, or a header edited since enrolment, yields points with no
+    structure, not an error."""
+    words = array("H", _shake_cipher(vault.records, vault_header(vault.params), cp))
+    if sys.byteorder == "little":  # the records are big-endian
+        words.byteswap()
+    return words
 
 
 def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
@@ -532,14 +542,15 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
     points = [(u, eval_poly(poly, u)) for u in units]
     points += generate_chaff(set(units), poly, params.c, rng)
     rng.shuffle(points)
-    return encrypt_vault(params, points, cp)
+    return encrypt_vault(params, list(chain.from_iterable(points)), cp)
 
 
-def match_candidates(points: Sequence[tuple[int, int]], query_units: Sequence[int],
+def match_candidates(words: Sequence[int], query_units: Sequence[int],
                      epsilon: float) -> list[tuple[int, int]]:
-    """The clear ``(a, b)`` vault points (see :func:`decrypt_vault`) whose
-    decoded (x, y) = (a >> 8, a & 0xFF) lie within ``epsilon`` of a query
-    unit's decoded point, sorted stably by ascending abscissa alone.
+    """The clear vault points, given as flat words a0, b0, a1, b1, ... (see
+    :func:`decrypt_vault`), whose decoded (x, y) = (a >> 8, a & 0xFF) lie
+    within ``epsilon`` of a query unit's decoded point, as ``(a, b)``
+    tuples sorted stably by ascending abscissa alone.
 
     epsilon 0 degenerates to exact unit equality.  Otherwise discs are ORed
     into a padded table of row bitmasks: with reach = isqrt(floor(epsilon^2))
@@ -554,9 +565,9 @@ def match_candidates(points: Sequence[tuple[int, int]], query_units: Sequence[in
         raise DomainError(f"epsilon={epsilon} must be at least 0")
     if query_units and not 0 <= min(query_units) <= max(query_units) < GF_ORDER:
         raise DomainError(f"query units must lie in [0, {GF_ORDER - 1}]")
+    abscissas = words[0::2]
     if epsilon == 0:
-        wanted = set(query_units)
-        hits = [p for p in points if p[0] in wanted]
+        picked = compress(range(len(abscissas)), map(set(query_units).__contains__, abscissas))
     else:
         # dx^2 + dy^2 <= epsilon^2 holds for integers iff it holds against
         # the floor of epsilon^2, capped past the grid's diagonal squared.
@@ -576,7 +587,8 @@ def match_candidates(points: Sequence[tuple[int, int]], query_units: Sequence[in
                 rows[qx + x] |= span << qy
         del rows[:reach]
         bit = 1 << reach
-        hits = [p for p in points if rows[p[0] >> 8] >> (p[0] & 0xFF) & bit]
+        picked = [i for i, a in enumerate(abscissas) if rows[a >> 8] >> (a & 0xFF) & bit]
+    hits = [(words[2 * i], words[2 * i + 1]) for i in picked]
     hits.sort(key=itemgetter(0))
     return hits
 

@@ -7,6 +7,7 @@ import random
 import struct
 import subprocess
 import sys
+from array import array
 from itertools import chain
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from irisvault.password import CombinedPassword, derive_blocks, mask_secret
 from irisvault.templates import synth_template
 from irisvault.transform import MinutiaPoint, prune_close, transform_template
 from irisvault.vault import (
+    Vault,
     VaultParams,
     _LANES_MIN,
     _conflicts_last,
@@ -74,6 +76,17 @@ IDENTITY = CombinedPassword(bytes(8))
 
 def raw_units(points, r):
     return _template_units(points, IDENTITY, VaultParams(r=r, d=0))
+
+
+def flat(points):
+    """Clear ``(a, b)`` points as the words a0, b0, a1, b1, ... that
+    encrypt_vault and match_candidates take."""
+    return list(chain.from_iterable(points))
+
+
+def pairs_of(words):
+    """The ``(a, b)`` points of flat clear words, as the oracles take them."""
+    return list(zip(words[0::2], words[1::2]))
 
 
 class TestLockUnits:
@@ -343,12 +356,12 @@ class TestBuildVault:
 
     def test_distinct_abscissas_and_genuine_count(self):
         _, vault = make_vault(4)
-        clear = decrypt_vault(vault, FUZZY)
-        abscissas = [a for a, _ in clear]
-        assert len(set(abscissas)) == 220
+        words = decrypt_vault(vault, FUZZY)
+        assert words.typecode == "H" and len(words) == 440
+        assert len(set(words[0::2])) == 220
         payload = append_crc(mask_secret(SECRET, FUZZY))
         poly = encode_secret(payload)
-        on_curve = sum(1 for a, b in clear if eval_poly(poly, a) == b)
+        on_curve = sum(1 for a, b in pairs_of(words) if eval_poly(poly, a) == b)
         assert on_curve == 20
 
     def test_insufficient_template(self):
@@ -372,9 +385,10 @@ class TestBuildVault:
 
     def test_any_nine_genuine_points_interpolate_back(self):
         _, vault = make_vault(15)
-        clear = decrypt_vault(vault, FUZZY)
+        words = decrypt_vault(vault, FUZZY)
         poly = encode_secret(append_crc(mask_secret(SECRET, FUZZY)))
-        genuine = [(a, b) for a, b in clear if eval_poly(poly, a) == b]
+        genuine = [(a, b) for a, b in pairs_of(words) if eval_poly(poly, a) == b]
+        assert len(genuine) == 20
         rng = random.Random(15)
         for _ in range(20):
             subset = rng.sample(genuine, 9)
@@ -382,10 +396,10 @@ class TestBuildVault:
 
     def test_cipher_round_trip_preserves_content(self):
         _, vault = make_vault(5)
-        clear = decrypt_vault(vault, FUZZY)
-        assert encrypt_vault(vault.params, clear, FUZZY) == vault
+        words = decrypt_vault(vault, FUZZY)
+        assert encrypt_vault(vault.params, words, FUZZY) == vault
         # Ciphertext actually differs from plaintext.
-        assert vault.records != b"".join(struct.pack(">HH", *p) for p in clear)
+        assert vault.records != struct.pack(f">{len(words)}H", *words)
 
     @given(st.binary(min_size=8, max_size=8),
            st.integers(9, 0xFFFF).flatmap(lambda r: st.builds(
@@ -401,9 +415,24 @@ class TestBuildVault:
                              params.d, params.epsilon, 0)
         stream = hashlib.shake_128(header + password).digest(4 * len(pairs))
         clear = b"".join(struct.pack(">HH", *p) for p in pairs)
-        vault = encrypt_vault(params, pairs, cp)
+        vault = encrypt_vault(params, flat(pairs), cp)
         assert vault.records == bytes(x ^ k for x, k in zip(clear, stream))
-        assert decrypt_vault(vault, cp) == pairs
+        assert decrypt_vault(vault, cp) == array("H", flat(pairs))
+
+    @given(st.binary(min_size=8, max_size=8), st.integers(9, 300),
+           st.integers(0, 300).flatmap(lambda n: st.binary(min_size=4 * n, max_size=4 * n)))
+    @example(bytes(8), 20, bytes(range(256)) * 3 + bytes(12))
+    def test_decrypt_is_big_endian_words_of_the_xored_records(self, password, r, records):
+        # Any stored records, not only encrypt_vault's: the words are the
+        # big-endian 16-bit halves of records xor keystream, whatever the
+        # host's byte order.
+        params = VaultParams(r=r, c=len(records) // 4)
+        header = struct.pack(">4sBBHHBBI", b"IFV2", 2, 8, r, params.c, 4, 0, 0)
+        stream = hashlib.shake_128(header + password).digest(len(records))
+        clear = bytes(x ^ k for x, k in zip(records, stream))
+        words = decrypt_vault(Vault(params, records), CombinedPassword(password))
+        assert words.typecode == "H"
+        assert tuple(words) == struct.unpack(f">{len(records) // 2}H", clear)
 
 
 @given(st.lists(st.builds(MinutiaPoint, grid, grid), max_size=40),
@@ -430,11 +459,12 @@ def test_template_units_compose_transform_prune_and_lock(template, password, r, 
 class TestMatchCandidates:
     def test_exact_units_select_genuine(self):
         template, vault = make_vault(7)
-        clear = decrypt_vault(vault, FUZZY)
+        words = decrypt_vault(vault, FUZZY)
         payload = append_crc(mask_secret(SECRET, FUZZY))
         poly = encode_secret(payload)
-        genuine = sorted((a, b) for a, b in clear if eval_poly(poly, a) == b)
-        hits = match_candidates(clear, [a for a, _ in genuine], epsilon=0)
+        genuine = sorted((a, b) for a, b in pairs_of(words) if eval_poly(poly, a) == b)
+        assert len(genuine) == 20
+        hits = match_candidates(words, [a for a, _ in genuine], epsilon=0)
         assert hits == genuine
 
     def test_empty_query(self):
@@ -442,11 +472,11 @@ class TestMatchCandidates:
         assert match_candidates(decrypt_vault(vault, FUZZY), [], 0) == []
 
     def test_perturbed_unit_within_epsilon(self):
-        clear = [((10 + i) << 8 | 100, i) for i in range(9)]
+        words = array("H", flat(((10 + i) << 8 | 100, i) for i in range(9)))
         # Query unit decodes to (12, 101): distance 1 from vault point (12, 100).
-        hits = match_candidates(clear, [12 << 8 | 101], epsilon=2)
+        hits = match_candidates(words, [12 << 8 | 101], epsilon=2)
         assert (12 << 8 | 100, 2) in hits
-        assert match_candidates(clear, [12 << 8 | 101], epsilon=0) == []
+        assert match_candidates(words, [12 << 8 | 101], epsilon=0) == []
 
     @given(st.lists(grid_units, max_size=80), st.lists(grid_units, max_size=25),
            st.sampled_from((-0.0, 0, 0.5, 1, 1.5, 2, 2.5, 8, 40, 255, 363, 10**6)))
@@ -472,9 +502,45 @@ class TestMatchCandidates:
     @example([unit(5, 5), unit(5, 5), unit(3, 3)], [unit(5, 6), unit(3, 3)], 1)
     def test_agrees_with_brute_force_scan(self, abscissas, query, epsilon):
         # Ordinates descend along the list, so ties on the abscissa are told apart.
-        clear = [(a, len(abscissas) - i) for i, a in enumerate(abscissas)]
-        assert (match_candidates(clear, query, epsilon)
-                == match_candidates_oracle(clear, query, epsilon))
+        words = array("H", flat((a, len(abscissas) - i) for i, a in enumerate(abscissas)))
+        assert (match_candidates(words, query, epsilon)
+                == match_candidates_oracle(pairs_of(words), query, epsilon))
+
+    @given(st.lists(grid_units, min_size=1, max_size=6).flatmap(lambda pool: st.tuples(
+               st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 0xFFFF)), max_size=60),
+               st.lists(st.one_of(st.sampled_from(pool), grid_units), max_size=8))),
+           st.sampled_from((0, 1, 2.5, 8)))
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_abscissas_agree_with_oracle(self, case, epsilon):
+        # Records drawn from a few abscissas, so most repeat: every copy a
+        # query reaches comes back, in record order among equal abscissas.
+        points, query = case
+        words = array("H", flat(points))
+        hits = match_candidates(words, query, epsilon)
+        assert hits == match_candidates_oracle(pairs_of(words), query, epsilon)
+        assert all(type(p) is tuple and len(p) == 2 for p in hits)
+
+    def test_shared_wanted_abscissa_returns_both_and_open_drops_both(self, monkeypatch):
+        # Eleven genuine records and a second record at the fourth one's
+        # abscissa: both copies match at epsilon 0, in record order, and
+        # open_vault decodes the other ten.
+        cp = CombinedPassword(bytes(8))
+        poly = encode_secret(append_crc(mask_secret(SECRET, cp)))
+        abscissas = [unit(20 * i + 5, (40 * i + 7) % 256) for i in range(11)]
+        points = [(a, eval_poly(poly, a)) for a in abscissas]
+        twin = (abscissas[3], points[3][1] ^ 1)
+        words = array("H", flat(points + [twin]))
+        hits = match_candidates(words, abscissas, 0)
+        assert hits == sorted(points)[:4] + [twin] + sorted(points)[4:]
+        seen = []
+        decode = _rs_decode
+        monkeypatch.setattr("irisvault.vault._rs_decode",
+                            lambda candidates: seen.append(list(candidates)) or decode(candidates))
+        vault = encrypt_vault(VaultParams(r=12, c=0, d=0, epsilon=0), words, cp)
+        query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
+        assert open_vault(vault, query, cp) == SECRET
+        [candidates] = seen
+        assert candidates == [p for p in sorted(points) if p[0] != abscissas[3]]
 
     @pytest.mark.parametrize("query, epsilon, message", [
         ([unit(3, 3)], float("inf"), "epsilon=inf is not finite"),
@@ -488,7 +554,7 @@ class TestMatchCandidates:
         # Unit -1 decodes to (-1, 255), off the grid; a unit further below 0
         # would index the padded row table from its far end.
         with pytest.raises(DomainError, match=message):
-            match_candidates([(unit(0, 255), 1), (unit(3, 3), 2)], query, epsilon)
+            match_candidates(array("H", [unit(0, 255), 1, unit(3, 3), 2]), query, epsilon)
 
 
 def corrupt(points, where, deltas):
@@ -659,7 +725,7 @@ class TestConflictsLast:
         genuine = [(a, eval_poly(poly, a)) for a in units]
         chaff = (unit(46, 87), eval_poly(poly, unit(46, 87)) ^ 1)
         assert units[2] == unit(45, 87) and units[1] < chaff[0] < units[8]
-        vault = encrypt_vault(VaultParams(r=12, c=1, d=4, epsilon=2), genuine + [chaff], cp)
+        vault = encrypt_vault(VaultParams(r=12, c=1, d=4, epsilon=2), flat(genuine + [chaff]), cp)
         seen = []
         decode = _rs_decode
         monkeypatch.setattr("irisvault.vault._rs_decode",
@@ -706,7 +772,7 @@ class TestOpenVault:
         abscissas = [(20 * i + 5) << 8 | (40 * i + 7) % 256 for i in range(9)]
         points = [(a, eval_poly(poly, a)) for a in abscissas]
         points[4] = (points[4][0], points[4][1] ^ 1)
-        vault = encrypt_vault(VaultParams(r=9, c=0, d=0, epsilon=0), points, cp)
+        vault = encrypt_vault(VaultParams(r=9, c=0, d=0, epsilon=0), flat(points), cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
         with pytest.raises(UnlockError, match="fails the checksum"):
             open_vault(vault, query, cp)
@@ -725,7 +791,7 @@ class TestOpenVault:
             max_size=60))
         points = [(a, eval_poly(poly, a) if b is None else b) for a, b in records]
         epsilon = data.draw(st.sampled_from((0, 1, 3)))
-        vault = encrypt_vault(VaultParams(r=64, c=0, d=0, epsilon=epsilon), points, cp)
+        vault = encrypt_vault(VaultParams(r=64, c=0, d=0, epsilon=epsilon), flat(points), cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in data.draw(st.permutations(pool))]
         try:
             secret = open_vault(vault, query, cp)
@@ -743,10 +809,10 @@ class TestOpenVault:
         points.append((abscissas[3], points[3][1] ^ 1))
         params = VaultParams(r=20, c=0, d=0, epsilon=0)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
-        assert open_vault(encrypt_vault(params, points, cp), query, cp) == SECRET
+        assert open_vault(encrypt_vault(params, flat(points), cp), query, cp) == SECRET
         # Without the first two points, dropping the pair leaves eight.
         with pytest.raises(UnlockError, match="candidate points with distinct abscissas"):
-            open_vault(encrypt_vault(params, points[2:], cp), query, cp)
+            open_vault(encrypt_vault(params, flat(points[2:]), cp), query, cp)
 
     def test_edited_header_decrypts_to_noise(self):
         # Widening the stored epsilon (byte 11) is what would let a jittered
@@ -795,12 +861,15 @@ def test_import_leaves_openssl_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # Each CLI call is a fresh process, so these modules would cost every call.
+def test_cli_import_loads_no_dataclasses_inspect_typing_or_pathlib():
+    # Each CLI call is a fresh process, so these modules would cost every
+    # call; the CLI reads and writes its files with open().  -S keeps site
+    # from loading any of them first.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys; before = set(sys.modules); import irisvault.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))")
-    out = subprocess.run([sys.executable, "-c", code],
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'}"
+            " & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
