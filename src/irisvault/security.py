@@ -32,6 +32,9 @@ def _check_domain(r: int, c: int, n: int) -> None:
         raise DomainError(f"need r >= n + 1 genuine points, got r={r}, n={n}")
     if c < 0:
         raise DomainError(f"chaff count must be non-negative, got {c}")
+    if max(r, c) > 0xFFFF or r + c > 1 << 16:  # a header's counts, as in VaultParams
+        raise DomainError(f"need r, c <= 65535 and r + c <= 65536 distinct abscissas, "
+                          f"got r={r}, c={c}")
 
 
 class EntropyReport(namedtuple("EntropyReport", "r c t n total_combinations required_combinations "

@@ -24,15 +24,19 @@ The header is plaintext.  r + c is at most 65536, the number of distinct
 abscissas.  IFV1 frames, keyed by the password alone, are refused.
 
 No chaff point may lie on the polynomial, so every drawn abscissa is
-evaluated, a whole draw at once by :func:`_eval_poly_many`.  It sums the
-terms f(x) = c0 + sum of exp[(log ck + k log x) mod 65535] with each
-abscissa in a 32-bit little-endian lane of one Python int: an integer
-addition steps k log x in every lane, and folding as (s & 0xFFFF) +
+evaluated, a whole draw at once by :func:`_eval_poly_many`.  In
+characteristic 2, (a + b)^2 = a^2 + b^2, so the terms of degree 1, 2, 4, 8
+are GF(2)-linear in x: the xor of their images of x's set bits, where
+1 << i = exp[i] needs no log.  Four 256-byte tables per polynomial map
+each byte of x to each byte of that sum, applied by bytes.translate.  The
+terms of degree 3, 5, 6, 7, exp[(log ck + k log x) mod 65535], are summed
+with each abscissa in a 32-bit little-endian lane of one Python int: an
+integer addition steps k log x in every lane, and folding as (s & 0xFFFF) +
 (s >> 16), since 2^16 = 1 mod 65535, keeps it in [0, 65535].  With log ck
 added an exp index is at most 131069, inside the doubled table, so no lane
-carries into the next.  Each term is gathered with one itemgetter call and
-xored in as packed 16-bit lanes.  log[0] is only a placeholder, so lanes
-with x = 0 are set to c0 at the end.
+carries into the next.  Each is gathered with one itemgetter call and xored
+in as packed 16-bit lanes.  log[0] is only a placeholder, so lanes with
+x = 0 are set to c0 at the end.
 
 Decoding reverses the path: decrypt, transform the query with the same
 password, match its lock units against the vault (within epsilon, in a row
@@ -58,7 +62,7 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 from itertools import chain, compress
 from math import floor, isfinite, isqrt
-from operator import itemgetter
+from operator import eq, itemgetter, xor
 
 from .errors import DomainError, UnlockError
 from .fields import (
@@ -200,17 +204,15 @@ def _template_units(template: Template, cp: CombinedPassword, params: VaultParam
     return sorted({(x << 8) | y for x, y in ready})[:params.r]
 
 
+_COEFFS = struct.Struct(f">{N_COEFFS}H")
+
+
 def encode_secret(payload: bytes) -> tuple[int, ...]:
     """Split an 18-byte payload into nine big-endian 16-bit coefficients,
     highest degree first: the first segment becomes the degree-8 one."""
     if len(payload) != PAYLOAD_BYTES:
         raise DomainError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
-    return tuple(
-        (payload[2 * k] << 8) | payload[2 * k + 1] for k in range(N_COEFFS)
-    )
-
-
-_COEFFS = struct.Struct(f">{N_COEFFS}H")
+    return _COEFFS.unpack(payload)
 
 
 def decode_secret(coeffs: Sequence[int]) -> bytes:
@@ -232,17 +234,22 @@ def eval_poly(coeffs: Sequence[int], u: int) -> int:
 
 
 # Fewer abscissas than this are cheaper through eval_poly one at a time:
-# measured on CPython 3.11, the lane kernel breaks even between 20 and 28.
+# measured on CPython 3.11, the kernel with its byte tables breaks even at 32.
 # The kernel also needs at least two: itemgetter with one key returns the
 # item itself, not a one-element tuple.
-_LANES_MIN = 24
+_LANES_MIN = 32
+
+
+# A 1 in each of 2**i 32-bit lanes, to double a table of 2**i lanes.
+_LANE_ONES = [int.from_bytes(b"\1\0\0\0" * (1 << i), "little") for i in range(8)]
 
 
 def _eval_poly_many(coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
-    """``[eval_poly(coeffs, x) for x in xs]``, a term at a time in lanes of
-    one int; the module docstring gives the lanes and their bounds."""
+    """``[eval_poly(coeffs, x) for x in xs]``: linear terms by byte tables,
+    the rest in lanes of one int; the module docstring gives the bounds."""
     n = len(xs)
-    if n < _LANES_MIN:
+    top = len(coeffs) - 1
+    if n < _LANES_MIN or top >= 8192:  # at k = 8192, exp[lc + 15 k] is past the table
         return [eval_poly(coeffs, x) for x in xs]
     exp, log = _GF_EXP, _GF_LOG
     words, halves = f"<{n}I", f"<{n}H"
@@ -251,11 +258,25 @@ def _eval_poly_many(coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
     step = int.from_bytes(struct.pack(words, *itemgetter(*xs)(log)), "little")
     c0 = coeffs[-1]
     acc = c0 * int.from_bytes(b"\1\0" * n, "little")
+    images = [0] * 16  # of 1 << i = exp[i] under the linear terms
+    for k in (1 << j for j in range(top.bit_length())):
+        if coeffs[top - k]:
+            lc = log[coeffs[top - k]]
+            images = list(map(xor, images, exp[lc:lc + 16 * k:k]))
+    table = 0  # 32-bit lane b: the images of b << 8 and of b, as high and low halves
+    for i in range(8):
+        table |= (table ^ (images[8 + i] << 16 | images[i]) * _LANE_ONES[i]) << (32 << i)
+    table = table.to_bytes(1024, "little")
+    packed, buf = struct.pack(halves, *xs), bytearray(2 * n)
+    for half, lo in ((packed[0::2], 0), (packed[1::2], 2)):
+        buf[0::2] = half.translate(table[lo::4])
+        buf[1::2] = half.translate(table[lo + 1::4])
+        acc ^= int.from_bytes(buf, "little")
     power = 0
-    for c in reversed(coeffs[:-1]):
+    for k, c in enumerate(reversed(coeffs[:-1]), 1):
         power += step
         power = (power & low) + ((power >> 16) & low)
-        if c:
+        if c and k & (k - 1):  # a term the tables left out
             index = struct.unpack(words, (power + log[c] * ones).to_bytes(4 * n, "little"))
             acc ^= int.from_bytes(struct.pack(halves, *itemgetter(*index)(exp)), "little")
     out = list(struct.unpack(halves, acc.to_bytes(2 * n, "little")))
@@ -463,10 +484,12 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     or whose ordinate lies on the polynomial is rejected whole, and the
     shortfall is drawn again the same way: abscissas stay distinct and none
     genuine, and a chaff point can never masquerade as genuine.  Pairs whose
-    abscissa is already taken are dropped first, the rest evaluated in one
-    lane-parallel :func:`_eval_poly_many` call and accepted in draw order,
-    so a repeat within a draw loses to its first copy, as pair by pair.
-    DomainError unless ``count`` is an int >= 0, as in :class:`VaultParams`.
+    abscissa is already taken are dropped first, and the rest evaluated in
+    one :func:`_eval_poly_many` call.  When their abscissas are distinct and
+    none lies on the curve, most draws, they are all accepted at once;
+    otherwise pair by pair in draw order, so a repeat loses to its first
+    copy.  DomainError unless ``count`` is an int >= 0, as in
+    :class:`VaultParams`.
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise DomainError(f"chaff count must be an int >= 0, not {count!r}")
@@ -477,13 +500,34 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     need = count
     while need:
         words = struct.unpack(f">{2 * need}H", rng.randbytes(4 * need))
-        fresh = [p for p in zip(words[::2], words[1::2]) if p[0] not in used]
-        for (a, b), y in zip(fresh, _eval_poly_many(poly, [a for a, _ in fresh])):
-            if a not in used and b != y:
-                used.add(a)
-                chaff.append((a, b))
+        xs, ys = words[0::2], words[1::2]
+        if not used.isdisjoint(xs):
+            fresh = [a not in used for a in xs]
+            xs, ys = list(compress(xs, fresh)), list(compress(ys, fresh))
+        curve = _eval_poly_many(poly, xs)
+        if len(set(xs)) == len(xs) and not any(map(eq, ys, curve)):
+            used.update(xs)
+            chaff += zip(xs, ys)
+        else:
+            for a, b, y in zip(xs, ys, curve):
+                if a not in used and b != y:
+                    used.add(a)
+                    chaff.append((a, b))
         need = count - len(chaff)
     return chaff
+
+
+def _scramble(points: list, rng: random.Random) -> None:
+    """``rng.shuffle(points)`` with its ``getrandbits`` draws and no
+    ``_randbelow`` call per element: j is drawn below i + 1 from
+    (i + 1).bit_length() bits, again until it fits."""
+    getrandbits = rng.getrandbits
+    for i in range(len(points) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        points[i], points[j] = points[j], points[i]
 
 
 def _shake_cipher(records: bytes, header: bytes, cp: CombinedPassword) -> bytes:
@@ -525,7 +569,10 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
     point that is not a pair of ints on the 256x256 grid.  ``rng``
     drives chaff placement and the final scramble; the same template,
     secret, password, params, and rng seed reproduce a byte-identical
-    vault.
+    vault.  The scramble makes ``rng.shuffle``'s ``getrandbits`` draws
+    without calling it, so a ``random.Random`` ends in the same state; a
+    subclass that overrides only ``random()`` gets another scramble, as
+    uniform and as reproducible.
     """
     if params is None:
         params = VaultParams()
@@ -541,7 +588,7 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
     poly = encode_secret(payload)
     points = [(u, eval_poly(poly, u)) for u in units]
     points += generate_chaff(set(units), poly, params.c, rng)
-    rng.shuffle(points)
+    _scramble(points, rng)
     return encrypt_vault(params, list(chain.from_iterable(points)), cp)
 
 

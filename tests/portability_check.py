@@ -1,11 +1,13 @@
 """Stdlib-only check that vault bytes and decodes do not vary by interpreter.
 
-The IFV2 golden bytes rest on ``random``'s stream, ``struct`` and the lane
-kernel's ``itemgetter`` gathers, so this script rebuilds the three frames
-that ``test_templates.py::TestVaultFrame::test_golden_bytes_ifv2`` pins and
-compares the lane kernel and the chaff draw with their scalar references,
-and hashes the Reed-Solomon decoder's answers on a fixed mix of candidate
-sets, as drawn and in open_vault's conflicts-last order, without pytest or
+The IFV2 golden bytes rest on ``random``'s stream, ``struct``, the lane
+kernel's ``itemgetter`` gathers and ``bytes.translate`` tables, and the
+scramble's copy of ``random.Random.shuffle``'s draws, so this script
+rebuilds the three frames that
+``test_templates.py::TestVaultFrame::test_golden_bytes_ifv2`` pins, compares
+the lane kernel, the chaff draw and the scramble with their references, and
+hashes the Reed-Solomon decoder's answers on a fixed mix of candidate sets,
+as drawn and in open_vault's conflicts-last order, without pytest or
 Hypothesis.  Run it from the repository root under each interpreter to
 check:
 
@@ -29,6 +31,7 @@ from irisvault.vault import (  # noqa: E402
     _conflicts_last,
     _eval_poly_many,
     _rs_decode,
+    _scramble,
     build_vault,
     decode_secret,
     eval_poly,
@@ -103,7 +106,7 @@ def lane_kernel(cases: int) -> bool:
     rng = random.Random(20)
     bad = 0
     for _ in range(cases):
-        coeffs = [rng.choice((0, rng.randrange(0x10000))) for _ in range(rng.randint(1, 12))]
+        coeffs = [rng.choice((0, rng.randrange(0x10000))) for _ in range(rng.randint(1, 17))]
         xs = [rng.choice((0, rng.randrange(16), rng.randrange(0x10000)))
               for _ in range(rng.randrange(301))]
         bad += _eval_poly_many(coeffs, xs) != [eval_poly(coeffs, x) for x in xs]
@@ -123,7 +126,23 @@ def chaff_draw(seeds: int) -> bool:
     return not bad
 
 
+def scramble(seeds: int) -> bool:
+    """The scramble against ``random.Random.shuffle`` at every length up to
+    300: the same order, and the generator left in the same state."""
+    bad = 0
+    for seed in range(seeds):
+        for n in range(301):
+            points, expect = list(range(n)), list(range(n))
+            rng, ref = random.Random(seed), random.Random(seed)
+            _scramble(points, rng)
+            ref.shuffle(expect)
+            bad += points != expect or rng.getstate() != ref.getstate()
+    print(f"scramble: {seeds * 301 - bad} of {seeds * 301} lists equal random.shuffle's")
+    return not bad
+
+
 if __name__ == "__main__":
     print(sys.version.split()[0])
-    results = [golden_digests(), lane_kernel(3000), chaff_draw(20), decoder_digest(400)]
+    results = [golden_digests(), lane_kernel(3000), chaff_draw(20), scramble(5),
+               decoder_digest(400)]
     sys.exit(0 if all(results) else 1)

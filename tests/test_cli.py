@@ -258,6 +258,14 @@ class TestAnalyze:
         assert main(["analyze", "--r", "5"]) == 2
         capsys.readouterr()
 
+    def test_shape_beyond_a_vault_header_exits_2(self, capsys):
+        # r = 100000 fits neither a header's 16-bit count nor, with c, the
+        # 65536 abscissas of GF(2^16).
+        assert main(["analyze", "--r", "100000", "--c", "1", "--n", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestSynth:
     def test_deterministic_file(self, tmp_path, capsys):

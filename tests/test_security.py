@@ -137,6 +137,19 @@ def test_shape_must_be_ints(args, message):
         analyze(*args)
 
 
+@pytest.mark.parametrize("r, c", [(65536, 0), (20, 65536), (100000, 1), (65535, 2), (30000, 35537)])
+def test_shape_beyond_a_vault_header(r, c):
+    # The bounds of VaultParams: 16-bit counts, one GF(2^16) abscissa each.
+    with pytest.raises(DomainError, match=r"^need r, c <= 65535 and r \+ c <= 65536 distinct "
+                                          rf"abscissas, got r={r}, c={c}$"):
+        analyze(r, c, 8)
+
+
+def test_largest_vault_shape():
+    assert analyze(65535, 1, 8).t == 65536
+    assert analyze(9, 65527, 8).t == 65536
+
+
 def test_negative_degree():
     with pytest.raises(DomainError, match=r"^polynomial degree must be non-negative, got -1$"):
         analyze(20, 200, -1)

@@ -28,6 +28,7 @@ from irisvault.vault import (
     _newton_expand,
     _newton_extend,
     _rs_decode,
+    _scramble,
     _template_units,
     _times_linear,
     build_vault,
@@ -158,6 +159,12 @@ class TestSecretCodec:
         assert decode_secret(encode_secret(payload)) == payload
 
 
+# The degrees whose terms _eval_poly_many takes from its byte tables, and
+# abscissas with 0 and every bit of both bytes among them.
+LINEAR = (1, 2, 4, 8, 16)
+SPREAD = [0, 1, 0x80, 0xFF, 0x100, 0x8000, 0xFFFF] + list(range(0x1234, 0x1234 + 7 * 40, 7))
+
+
 class TestEvalPoly:
     def test_constant(self):
         assert eval_poly((0,) * 8 + (0x1234,), 0xBEEF) == 0x1234
@@ -179,11 +186,18 @@ class TestEvalPoly:
         assert eval_poly(coeffs, u) == eval_poly_oracle(coeffs, u)
 
     # Zero coefficients and abscissas are drawn often, and abscissas repeat.
-    @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=1, max_size=12),
+    # Up to 17 coefficients, so that degree 16 joins the byte tables' terms.
+    @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=1, max_size=17),
            st.lists(st.one_of(st.just(0), st.integers(0, 15), st.integers(0, 0xFFFF)),
                     max_size=300))
     @settings(max_examples=200)
-    @example([0] * 9, [0, 1, 0xFFFF] * 10)
+    @example([0] * 9, [0, 1, 0xFFFF] * 12)
+    # Only the linear terms, of degree 1, 2, 4, 8 (and 16), are zero, then
+    # only they are nonzero, at log 65534 for the tables' largest exp index.
+    @example([0 if k in LINEAR else 0x1234 + k for k in range(8, -1, -1)], SPREAD)
+    @example([_GF_EXP[65534] if k in LINEAR else 0 for k in range(8, -1, -1)], SPREAD)
+    @example([0 if k in LINEAR else 0xBEEF ^ k for k in range(16, -1, -1)], SPREAD)
+    @example([_GF_EXP[65534] if k in LINEAR else 0 for k in range(16, -1, -1)], SPREAD)
     @example([0] + [0x1234] * 8, list(range(_LANES_MIN)))
     @example([0x1234] * 9, list(range(1, _LANES_MIN)))
     # At x = exp[21845] the lane's power reaches 3 * 21845 = 65535 for c3,
@@ -234,6 +248,23 @@ class TestLagrange:
             interpolate(pts)
 
 
+class Scripted(random.Random):
+    """A Random whose randbytes returns the given draws in turn, each of the
+    size asked for."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = list(draws)
+
+    def randbytes(self, n):
+        assert n == len(self.draws[0])
+        return self.draws.pop(0)
+
+
+def packed(pairs):
+    return struct.pack(f">{2 * len(pairs)}H", *chain.from_iterable(pairs))
+
+
 class TestChaff:
     def test_empty(self):
         poly = encode_secret(bytes(18))
@@ -269,16 +300,34 @@ class TestChaff:
         # each cost their whole pair, and only the shortfall is drawn again.
         poly = encode_secret(append_crc(SECRET))
         y7, y12 = eval_poly(poly, 7), eval_poly(poly, 12)
-        draws = [struct.pack(">6H", 5, 1, 7, y7, 9, 2), struct.pack(">4H", 9, 3, 11, 4),
-                 struct.pack(">2H", 12, y12 ^ 1)]
+        rng = Scripted([struct.pack(">6H", 5, 1, 7, y7, 9, 2), struct.pack(">4H", 9, 3, 11, 4),
+                        struct.pack(">2H", 12, y12 ^ 1)])
+        assert generate_chaff({5}, poly, 3, rng) == [(9, 2), (11, 4), (12, y12 ^ 1)]
+        assert rng.draws == []
 
-        class Scripted(random.Random):
-            def randbytes(self, n):
-                assert n == len(draws[0])
-                return draws.pop(0)
+    def test_fresh_draw_is_accepted_whole(self):
+        # Distinct abscissas, none taken and every pair off the curve: one
+        # randbytes call, and every pair kept in draw order.
+        poly = encode_secret(append_crc(SECRET))
+        pairs = [(a, eval_poly_oracle(poly, a) ^ a) for a in range(100, 300, 5)]
+        rng = Scripted([packed(pairs)])
+        assert generate_chaff({5}, poly, len(pairs), rng) == pairs
+        assert rng.draws == []
+        assert generate_chaff_oracle({5}, poly, len(pairs), Scripted([packed(pairs)])) == pairs
 
-        assert generate_chaff({5}, poly, 3, Scripted()) == [(9, 2), (11, 4), (12, y12 ^ 1)]
-        assert draws == []
+    def test_one_on_curve_pair_is_drawn_again(self):
+        # No repeat and no taken abscissa, but one pair on the curve: that
+        # pair alone is rejected, and a draw of one pair replaces it.
+        poly = encode_secret(append_crc(SECRET))
+        first = [(a, eval_poly_oracle(poly, a) ^ 1) for a in range(100, 300, 5)]
+        first[17] = (first[17][0], eval_poly_oracle(poly, first[17][0]))
+        again = [(7, eval_poly_oracle(poly, 7) ^ 2)]
+        rng = Scripted([packed(first), packed(again)])
+        chaff = generate_chaff({5}, poly, len(first), rng)
+        assert chaff == first[:17] + first[18:] + again
+        assert rng.draws == []
+        oracle_rng = Scripted([packed(first), packed(again)])
+        assert generate_chaff_oracle({5}, poly, len(first), oracle_rng) == chaff
 
     def test_lane_draw_keeps_first_copy_and_fixes_abscissa_zero(self):
         # One draw long enough for the lane kernel holds abscissa 0 on the
@@ -292,17 +341,10 @@ class TestChaff:
         filler = [(1000 + i, eval_poly_oracle(poly, 1000 + i) ^ 1) for i in range(_LANES_MIN)]
         first = [(0, c0), (77, 5), (0, c0 ^ 1), (77, 6)] + filler
         again = [(3, eval_poly_oracle(poly, 3) ^ 2), (4, eval_poly_oracle(poly, 4) ^ 2)]
-        draws = [struct.pack(f">{2 * len(first)}H", *chain.from_iterable(first)),
-                 struct.pack(">4H", *chain.from_iterable(again))]
-
-        class Scripted(random.Random):
-            def randbytes(self, n):
-                assert n == len(draws[0])
-                return draws.pop(0)
-
-        chaff = generate_chaff(set(), poly, len(first), Scripted())
+        rng = Scripted([packed(first), packed(again)])
+        chaff = generate_chaff(set(), poly, len(first), rng)
         assert chaff == [(77, 5), (0, c0 ^ 1)] + filler + again
-        assert draws == []
+        assert rng.draws == []
 
     # Genuine sets are sparse, 0 included, or a dense run that leaves few
     # abscissas free, so draws collide and shrink past the lane crossover.
@@ -342,6 +384,20 @@ def make_vault(seed=0, params=None, secret=SECRET, cp=FUZZY):
     template = synth_template(seed, 20, 4)
     vault = build_vault(template, secret, cp, params, random.Random(seed))
     return template, vault
+
+
+@given(st.integers(0, 300), st.integers(0, 2**64))
+@settings(max_examples=100)
+@example(0, 0)
+@example(1, 0)
+@example(257, 7)  # a draw of 9 bits below 257 is often rejected
+def test_scramble_draws_as_random_shuffle(n, seed):
+    points, expect = list(range(n)), list(range(n))
+    rng, ref = random.Random(seed), random.Random(seed)
+    _scramble(points, rng)
+    ref.shuffle(expect)
+    assert points == expect
+    assert rng.getstate() == ref.getstate()
 
 
 class TestBuildVault:
