@@ -62,7 +62,7 @@ from collections import Counter, namedtuple
 from collections.abc import Sequence
 from itertools import chain, compress
 from math import floor, isfinite, isqrt
-from operator import eq, itemgetter, xor
+from operator import itemgetter, xor
 
 from .errors import DomainError, UnlockError
 from .fields import (
@@ -224,7 +224,7 @@ def eval_poly(coeffs: Sequence[int], u: int) -> int:
     """Evaluate the polynomial (coefficients highest degree first) at ``u``
     by Horner's rule on the log/antilog tables."""
     if not u:
-        return coeffs[-1]
+        return coeffs[-1] if coeffs else 0
     exp, log = _GF_EXP, _GF_LOG
     lu = log[u]
     acc = 0
@@ -249,7 +249,8 @@ def _eval_poly_many(coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
     the rest in lanes of one int; the module docstring gives the bounds."""
     n = len(xs)
     top = len(coeffs) - 1
-    if n < _LANES_MIN or top >= 8192:  # at k = 8192, exp[lc + 15 k] is past the table
+    # No c0 for the empty polynomial; at k = 8192, exp[lc + 15 k] is past the table.
+    if n < _LANES_MIN or not 0 <= top < 8192:
         return [eval_poly(coeffs, x) for x in xs]
     exp, log = _GF_EXP, _GF_LOG
     words, halves = f"<{n}I", f"<{n}H"
@@ -287,31 +288,6 @@ def _eval_poly_many(coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
     return out
 
 
-# Newton's divided-difference table, grown a point at a time: the abscissas
-# x0..xj so far, the coefficients f[x0..xi] of the nested form, and the last
-# row f[xj], f[x(j-1), xj], ..., f[x0..xj], which is all a new point needs.
-_Newton = tuple[list[int], list[int], list[int]]
-
-
-def _newton_extend(table: _Newton, points: Sequence[tuple[int, int]]) -> None:
-    """Add ``points``, whose abscissas differ from each other and from the
-    table's, to the divided-difference table in place.  In characteristic 2
-    every subtraction is xor."""
-    exp, log = _GF_EXP, _GF_LOG
-    xs, dd, row = table
-    for x, y in points:
-        cur = y  # f[x(j-k)..x] for k = 0, 1, ..., overwriting the old row
-        for k, xp in enumerate(reversed(xs)):
-            diff = cur ^ row[k]
-            row[k] = cur
-            # diff / (x - xp); exp is doubled, so the index
-            # log[diff] - log[den] + 65535 stays inside it.
-            cur = exp[log[diff] - log[x ^ xp] + GF_ORDER - 1] if diff else 0
-        row.append(cur)
-        xs.append(x)
-        dd.append(cur)
-
-
 def _times_linear(p: list[int], a: int) -> None:
     """Multiply ``p``, degree ascending, by (x - a) in place on the log tables."""
     p.insert(0, 0)  # times x: all a root 0 needs
@@ -322,17 +298,6 @@ def _times_linear(p: list[int], a: int) -> None:
             c = p[j + 1]
             if c:
                 p[j] ^= exp[log[c] + la]
-
-
-def _newton_expand(table: _Newton) -> list[int]:
-    """The table's interpolant as coefficients, degree ascending."""
-    xs, dd, _ = table
-    # dd[0] + (x - xs[0])(dd[1] + (x - xs[1])(...)), from the inside out.
-    coeffs = dd[-1:]
-    for i in range(len(xs) - 2, -1, -1):
-        _times_linear(coeffs, xs[i])
-        coeffs[0] ^= dd[i]
-    return coeffs
 
 
 def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
@@ -346,9 +311,20 @@ def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     xs = [p[0] for p in points]
     if len(set(xs)) != len(xs):
         raise DomainError("interpolation abscissas must be pairwise distinct")
-    table: _Newton = ([], [], [])
-    _newton_extend(table, points)
-    return tuple(reversed(_newton_expand(table)))
+    exp, log = _GF_EXP, _GF_LOG
+    dd = [p[1] for p in points]  # becomes f[x0], f[x0, x1], ..., f[x0..x(n-1)]
+    for j in range(1, len(dd)):
+        for i in range(len(dd) - 1, j - 1, -1):
+            diff = dd[i] ^ dd[i - 1]
+            # diff / (xi - x(i-j)); in characteristic 2 subtraction is xor,
+            # and exp is doubled, so log[diff] - log[den] + 65535 stays inside it.
+            dd[i] = exp[log[diff] - log[xs[i] ^ xs[i - j]] + GF_ORDER - 1] if diff else 0
+    # dd[0] + (x - xs[0])(dd[1] + (x - xs[1])(...)), from the inside out.
+    coeffs = dd[-1:]
+    for i in range(len(xs) - 2, -1, -1):
+        _times_linear(coeffs, xs[i])
+        coeffs[0] ^= dd[i]
+    return tuple(reversed(coeffs))
 
 
 # Polynomials for the decoder: coefficient lists, degree ascending, with no
@@ -412,10 +388,8 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
     constant, so Euclid takes no step and deg r = deg v.
     """
     m = len(candidates)
-    table: _Newton = ([], [], [])
-    _newton_extend(table, candidates[:N_COEFFS])
-    coeffs = tuple(reversed(_newton_expand(table)))
-    first = table[0]
+    coeffs = interpolate(candidates[:N_COEFFS])
+    first = [a for a, _ in candidates[:N_COEFFS]]
     short = (m + N_COEFFS + 1) // 2 - N_COEFFS  # agreements h still lacks
     residual = []
     for a, y in candidates[N_COEFFS:]:
@@ -480,16 +454,13 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     polynomial.
 
     All missing points are drawn at once, as pairs of big-endian 16-bit
-    words from one ``rng.randbytes`` call.  A pair whose abscissa is taken
-    or whose ordinate lies on the polynomial is rejected whole, and the
-    shortfall is drawn again the same way: abscissas stay distinct and none
-    genuine, and a chaff point can never masquerade as genuine.  Pairs whose
-    abscissa is already taken are dropped first, and the rest evaluated in
-    one :func:`_eval_poly_many` call.  When their abscissas are distinct and
-    none lies on the curve, most draws, they are all accepted at once;
-    otherwise pair by pair in draw order, so a repeat loses to its first
-    copy.  DomainError unless ``count`` is an int >= 0, as in
-    :class:`VaultParams`.
+    words from one ``rng.randbytes`` call, and the polynomial is evaluated
+    at every pair's abscissa in one :func:`_eval_poly_many` call.  Pair by
+    pair in draw order, one whose abscissa is taken, or whose ordinate lies
+    on the polynomial, is rejected whole, and the shortfall is drawn again
+    the same way: abscissas stay distinct and none genuine, a repeat loses
+    to its first copy, and a chaff point can never masquerade as genuine.
+    DomainError unless ``count`` is an int >= 0, as in :class:`VaultParams`.
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise DomainError(f"chaff count must be an int >= 0, not {count!r}")
@@ -500,19 +471,11 @@ def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
     need = count
     while need:
         words = struct.unpack(f">{2 * need}H", rng.randbytes(4 * need))
-        xs, ys = words[0::2], words[1::2]
-        if not used.isdisjoint(xs):
-            fresh = [a not in used for a in xs]
-            xs, ys = list(compress(xs, fresh)), list(compress(ys, fresh))
-        curve = _eval_poly_many(poly, xs)
-        if len(set(xs)) == len(xs) and not any(map(eq, ys, curve)):
-            used.update(xs)
-            chaff += zip(xs, ys)
-        else:
-            for a, b, y in zip(xs, ys, curve):
-                if a not in used and b != y:
-                    used.add(a)
-                    chaff.append((a, b))
+        xs = words[0::2]
+        for a, b, y in zip(xs, words[1::2], _eval_poly_many(poly, xs)):
+            if a not in used and b != y:
+                used.add(a)
+                chaff.append((a, b))
         need = count - len(chaff)
     return chaff
 

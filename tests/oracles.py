@@ -50,14 +50,6 @@ def gf_tables_oracle():
     return exp, log
 
 
-def gf_inv_bruteforce(a: int) -> int:
-    """Exhaustive search for the multiplicative inverse."""
-    for b in range(1, 1 << 16):
-        if gf_mul_oracle(a, b) == 1:
-            return b
-    raise AssertionError(f"no inverse found for {a:#x}")
-
-
 def crc16_shift_register(data: bytes) -> int:
     """Bit-at-a-time long division, MSB first, zero initial register."""
     reg = 0

@@ -3,13 +3,13 @@
 The IFV2 golden bytes rest on ``random``'s stream, ``struct``, the lane
 kernel's ``itemgetter`` gathers and ``bytes.translate`` tables, and the
 scramble's copy of ``random.Random.shuffle``'s draws, so this script
-rebuilds the three frames that
-``test_templates.py::TestVaultFrame::test_golden_bytes_ifv2`` pins, compares
-the lane kernel, the chaff draw and the scramble with their references, and
-hashes the Reed-Solomon decoder's answers on a fixed mix of candidate sets,
-as drawn and in open_vault's conflicts-last order, without pytest or
-Hypothesis.  Run it from the repository root under each interpreter to
-check:
+rebuilds the three frames of ``vectors.GOLDEN_IFV2``, which
+``test_templates.py::TestVaultFrame::test_golden_bytes_ifv2`` also pins,
+compares the lane kernel, the chaff draw and the scramble with their
+references, and hashes the Reed-Solomon decoder's answers on a fixed mix of
+candidate sets, as drawn and in open_vault's conflicts-last order, without
+pytest or Hypothesis.  Run it from the repository root under each
+interpreter to check:
 
     PYTHONPATH=src python tests/portability_check.py
 
@@ -40,14 +40,7 @@ from irisvault.vault import (  # noqa: E402
 )
 
 from oracles import generate_chaff_oracle  # noqa: E402
-from vectors import FUZZY, TOKEN  # noqa: E402
-
-# seed, password, SHA-256 of the frame, template size, r: as in test_golden_bytes_ifv2.
-GOLDEN_IFV2 = [
-    (0, FUZZY, "287abc8525cf9e3d3dfe31fbee32d5b833e21063518a1c0f18112b02283a2d13", 20, 20),
-    (7, TOKEN, "574eb7abaf7f081cc0a0aa7a6e8eda931038a89122894c87d040c080b38f5787", 20, 20),
-    (3, FUZZY, "0d96eed8eafd5e8aedaca85496866a1959aebfcfdc0e9a0608da2d3c94b10f87", 25, 21),
-]
+from vectors import GOLDEN_IFV2  # noqa: E402
 
 
 def golden_digests() -> bool:

@@ -76,3 +76,22 @@ def test_readme_library_names_resolve():
 ])
 def test_removed_name_is_absent(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+# The package's __init__ re-exports what it imports.
+MODULES = [p for p in sorted((ROOT / "src" / "irisvault").glob("*.py")) if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # Every name a module imports is read somewhere in it; __future__
+    # imports switch on features and bind no name.
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read) == []

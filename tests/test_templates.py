@@ -13,7 +13,7 @@ from irisvault.templates import parse_template, synth_template, write_template
 from irisvault.transform import MinutiaPoint
 from irisvault.vault import Vault, VaultParams, build_vault, open_vault, read_vault, write_vault
 
-from vectors import FUZZY, TOKEN
+from vectors import FUZZY, GOLDEN_IFV2, TOKEN
 
 DATA = Path(__file__).parent / "data"
 
@@ -174,12 +174,7 @@ class TestVaultFrame:
         with pytest.raises(UnlockError):
             open_vault(as_ifv2, synth_template(seed, count, 4), cp)
 
-    @pytest.mark.parametrize("seed, cp, digest, count, r", [
-        (0, FUZZY, "287abc8525cf9e3d3dfe31fbee32d5b833e21063518a1c0f18112b02283a2d13", 20, 20),
-        (7, TOKEN, "574eb7abaf7f081cc0a0aa7a6e8eda931038a89122894c87d040c080b38f5787", 20, 20),
-        # 221 records: an odd record count.
-        (3, FUZZY, "0d96eed8eafd5e8aedaca85496866a1959aebfcfdc0e9a0608da2d3c94b10f87", 25, 21),
-    ])
+    @pytest.mark.parametrize("seed, cp, digest, count, r", GOLDEN_IFV2)
     def test_golden_bytes_ifv2(self, seed, cp, digest, count, r):
         # Frozen IFV2 frames: a change to chaff, encoding or cipher that
         # alters the bytes would also stop existing vault files opening.

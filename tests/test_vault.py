@@ -25,8 +25,6 @@ from irisvault.vault import (
     _LANES_MIN,
     _conflicts_last,
     _eval_poly_many,
-    _newton_expand,
-    _newton_extend,
     _rs_decode,
     _scramble,
     _template_units,
@@ -54,6 +52,7 @@ from oracles import (
     root_product_oracle,
     rs_decode_oracle,
 )
+from portability_check import decoder_digest
 from vectors import FUZZY, TOKEN
 
 coeff_tuples = st.tuples(*[st.integers(0, 0xFFFF)] * 9)
@@ -173,6 +172,12 @@ class TestEvalPoly:
     def test_at_zero_gives_constant_term(self, coeffs):
         assert eval_poly(coeffs, 0) == coeffs[-1]
 
+    @pytest.mark.parametrize("u", [0, 1, 5, 0xFFFF])
+    def test_empty_polynomial_is_zero_everywhere(self, u):
+        # interpolate([]) gives (), the zero polynomial, at u = 0 as elsewhere.
+        assert eval_poly(interpolate([]), u) == 0
+        assert _eval_poly_many((), [u] * _LANES_MIN) == [0] * _LANES_MIN
+
     def test_frozen_oracle_value(self):
         # Coefficients drawn once with seed 77; values frozen from the
         # term-by-term oracle.
@@ -186,8 +191,9 @@ class TestEvalPoly:
         assert eval_poly(coeffs, u) == eval_poly_oracle(coeffs, u)
 
     # Zero coefficients and abscissas are drawn often, and abscissas repeat.
-    # Up to 17 coefficients, so that degree 16 joins the byte tables' terms.
-    @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=1, max_size=17),
+    # None (the zero polynomial) up to 17 coefficients, so that degree 16
+    # joins the byte tables' terms.
+    @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), max_size=17),
            st.lists(st.one_of(st.just(0), st.integers(0, 15), st.integers(0, 0xFFFF)),
                     max_size=300))
     @settings(max_examples=200)
@@ -226,21 +232,6 @@ class TestLagrange:
         coeffs = tuple(data.draw(st.lists(st.integers(0, 0xFFFF),
                                           min_size=len(xs), max_size=len(xs))))
         assert interpolate([(x, eval_poly_oracle(coeffs, x)) for x in xs]) == coeffs
-
-    @given(st.lists(st.tuples(st.one_of(st.just(0), st.integers(0, 0xFFFF)),
-                              st.integers(0, 0xFFFF)),
-                    min_size=1, max_size=40, unique_by=lambda p: p[0]), st.data())
-    @settings(max_examples=100)
-    def test_extended_newton_table_gives_the_interpolant(self, points, data):
-        # The decoder extends the first nine points' divided differences to
-        # all m; any split must give the interpolant of all the points.
-        split = data.draw(st.integers(0, len(points)))
-        table = ([], [], [])
-        _newton_extend(table, points[:split])
-        _newton_extend(table, points[split:])
-        coeffs = tuple(reversed(_newton_expand(table)))
-        assert coeffs == interpolate(points)
-        assert all(eval_poly_oracle(coeffs, x) == y for x, y in points)
 
     def test_duplicate_abscissa(self):
         pts = [(0, 1), (0, 2)] + [(i, 0) for i in range(2, 9)]
@@ -305,7 +296,7 @@ class TestChaff:
         assert generate_chaff({5}, poly, 3, rng) == [(9, 2), (11, 4), (12, y12 ^ 1)]
         assert rng.draws == []
 
-    def test_fresh_draw_is_accepted_whole(self):
+    def test_one_draw_keeps_every_pair_in_draw_order(self):
         # Distinct abscissas, none taken and every pair off the curve: one
         # randbytes call, and every pair kept in draw order.
         poly = encode_secret(append_crc(SECRET))
@@ -347,7 +338,8 @@ class TestChaff:
         assert rng.draws == []
 
     # Genuine sets are sparse, 0 included, or a dense run that leaves few
-    # abscissas free, so draws collide and shrink past the lane crossover.
+    # abscissas free, so draws collide and the redraws fall below the lane
+    # crossover.
     @given(st.integers(0, 2**32),
            st.one_of(st.sets(st.one_of(st.just(0), st.integers(0, 0xFFFF)), max_size=60),
                      st.builds(lambda lo, width: set(range(lo, lo + width)),
@@ -679,6 +671,11 @@ class TestRsDecode:
         if got is not None:
             need = (len(points) + 10) // 2
             assert sum(eval_poly_oracle(got, x) == y for x, y in points) >= need
+
+    def test_golden_decodes_in_both_orders(self):
+        # The answers on the 400 fixed candidate sets, as drawn and in
+        # open_vault's conflicts-last order, hash to GOLDEN_DECODES.
+        assert decoder_digest(400)
 
     @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=1, max_size=60,
                     unique=True))

@@ -40,3 +40,13 @@ PASSWORDS = {"FUZZY": FUZZY, "TOKEN": TOKEN, "VAULT": VAULT}
 # Quadrants whose block codes and transforms are externally corroborated;
 # the fourth follows this implementation's uniform split.
 CORROBORATED_QUADRANTS = (0, 1, 2)
+
+# Frozen IFV2 frames: seed, password, SHA-256 of the frame that build_vault
+# writes for synth_template(seed, count, 4) under VaultParams(r=r, c=200) and
+# random.Random(seed), template size count, and r.  Seed 3 has 221 records,
+# an odd record count.
+GOLDEN_IFV2 = [
+    (0, FUZZY, "287abc8525cf9e3d3dfe31fbee32d5b833e21063518a1c0f18112b02283a2d13", 20, 20),
+    (7, TOKEN, "574eb7abaf7f081cc0a0aa7a6e8eda931038a89122894c87d040c080b38f5787", 20, 20),
+    (3, FUZZY, "0d96eed8eafd5e8aedaca85496866a1959aebfcfdc0e9a0608da2d3c94b10f87", 25, 21),
+]
