@@ -7,11 +7,10 @@ points among uniformly random chaff, scrambles the list, packs it into 4-byte
 records and xors a keystream over them: SHAKE-128 of the vault's 16-byte
 header and the password, so a vault whose header was edited decrypts to
 noise.  A :class:`Vault` only ever holds those stored bytes, the point
-region of a vault file; between :func:`decrypt_vault` and
-:func:`encrypt_vault` the clear points exist as one flat sequence of 16-bit
-words a0, b0, a1, b1, ..., abscissa then ordinate per record, and
-:func:`match_candidates` builds ``(a, b)`` tuples only for the points it
-keeps.
+region of a vault file.  Enrolment holds each clear point as one record
+a << 16 | b from the chaff draw to the cipher; decryption gives one flat
+sequence of 16-bit words a0, b0, a1, b1, ..., and :func:`match_candidates`
+builds ``(a, b)`` tuples only for the points it keeps.
 A polynomial is a plain tuple of nine coefficients, highest degree first.
 
 A vault file is one frame, which :func:`write_vault` writes and
@@ -24,19 +23,19 @@ The header is plaintext.  r + c is at most 65536, the number of distinct
 abscissas.  IFV1 frames, keyed by the password alone, are refused.
 
 No chaff point may lie on the polynomial, so every drawn abscissa is
-evaluated, a whole draw at once by :func:`_eval_poly_many`.  In
-characteristic 2, (a + b)^2 = a^2 + b^2, so the terms of degree 1, 2, 4, 8
-are GF(2)-linear in x: the xor of their images of x's set bits, where
-1 << i = exp[i] needs no log.  Four 256-byte tables per polynomial map
-each byte of x to each byte of that sum, applied by bytes.translate.  The
-terms of degree 3, 5, 6, 7, exp[(log ck + k log x) mod 65535], are summed
-with each abscissa in a 32-bit little-endian lane of one Python int: an
-integer addition steps k log x in every lane, and folding as (s & 0xFFFF) +
-(s >> 16), since 2^16 = 1 mod 65535, keeps it in [0, 65535].  With log ck
-added an exp index is at most 131069, inside the doubled table, so no lane
-carries into the next.  Each is gathered with one itemgetter call and xored
-in as packed 16-bit lanes.  log[0] is only a placeholder, so lanes with
-x = 0 are set to c0 at the end.
+evaluated, a whole draw at once, the first with the genuine units, by
+:func:`_eval_poly_many`.  In characteristic 2, (a + b)^2 = a^2 + b^2, so the
+terms of degree 1, 2, 4, 8 are GF(2)-linear in x: the xor of their images of
+x's set bits, where 1 << i = exp[i] needs no log.  Four 256-byte tables per
+polynomial map each byte of x to each byte of that sum, applied by
+bytes.translate.  The terms of degree 3, 5, 6, 7, exp[(log ck + k log x) mod
+65535], are summed with each abscissa in a 32-bit little-endian lane of one
+Python int: one multiplication gives k log x in every lane, below 2^29 since
+k < 8192, and two folds as (s & 0xFFFF) + (s >> 16), since 2^16 = 1 mod
+65535, bring it into [0, 65535].  With log ck added an exp index is at most
+131069, inside the doubled table, so no lane carries into the next.  Each is
+gathered with one itemgetter call and xored in as packed 16-bit lanes.
+log[0] is only a placeholder, so lanes with x = 0 are set to c0 at the end.
 
 Decoding reverses the path: decrypt, transform the query with the same
 password, match its lock units against the vault (within epsilon, in a row
@@ -60,9 +59,9 @@ import sys
 from array import array
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from itertools import chain, compress
+from itertools import compress
 from math import floor, isfinite, isqrt
-from operator import itemgetter, xor
+from operator import itemgetter, ne, xor
 
 from .errors import DomainError, UnlockError
 from .fields import (
@@ -233,10 +232,10 @@ def eval_poly(coeffs: Sequence[int], u: int) -> int:
     return acc
 
 
-# Fewer abscissas than this are cheaper through eval_poly one at a time:
-# measured on CPython 3.11, the kernel with its byte tables breaks even at 32.
-# The kernel also needs at least two: itemgetter with one key returns the
-# item itself, not a one-element tuple.
+# Fewer abscissas than this are cheaper through eval_poly one at a time: on
+# CPython 3.11, with one multiplication per lane term, the kernel breaks even
+# between 28 and 32.  It also needs at least two: itemgetter with one key
+# returns the item itself, not a one-element tuple.
 _LANES_MIN = 32
 
 
@@ -273,11 +272,11 @@ def _eval_poly_many(coeffs: Sequence[int], xs: Sequence[int]) -> list[int]:
         buf[0::2] = half.translate(table[lo::4])
         buf[1::2] = half.translate(table[lo + 1::4])
         acc ^= int.from_bytes(buf, "little")
-    power = 0
     for k, c in enumerate(reversed(coeffs[:-1]), 1):
-        power += step
-        power = (power & low) + ((power >> 16) & low)
         if c and k & (k - 1):  # a term the tables left out
+            power = step * k
+            power = (power & low) + ((power >> 16) & low)
+            power = (power & low) + ((power >> 16) & low)
             index = struct.unpack(words, (power + log[c] * ones).to_bytes(4 * n, "little"))
             acc ^= int.from_bytes(struct.pack(halves, *itemgetter(*index)(exp)), "little")
     out = list(struct.unpack(halves, acc.to_bytes(2 * n, "little")))
@@ -448,36 +447,44 @@ def _conflicts_last(candidates: list[tuple[int, int]], d: int) -> list[tuple[int
     return sorted(candidates, key=late.__contains__) if late else candidates
 
 
-def generate_chaff(genuine_us: set[int], poly: Sequence[int], count: int,
-                   rng: random.Random) -> list[tuple[int, int]]:
-    """Uniform decoy ``(a, b)`` points that avoid genuine abscissas and the
-    polynomial.
+def generate_chaff(genuine_us: Sequence[int], poly: Sequence[int], count: int,
+                   rng: random.Random) -> list[int]:
+    """The vault's clear points as records ``a << 16 | b``: the genuine
+    units in the order given, each with its ordinate on the polynomial, then
+    ``count`` uniform chaff points in draw order.
 
-    All missing points are drawn at once, as pairs of big-endian 16-bit
-    words from one ``rng.randbytes`` call, and the polynomial is evaluated
-    at every pair's abscissa in one :func:`_eval_poly_many` call.  Pair by
-    pair in draw order, one whose abscissa is taken, or whose ordinate lies
-    on the polynomial, is rejected whole, and the shortfall is drawn again
-    the same way: abscissas stay distinct and none genuine, a repeat loses
-    to its first copy, and a chaff point can never masquerade as genuine.
-    DomainError unless ``count`` is an int >= 0, as in :class:`VaultParams`.
+    The chaff is drawn as big-endian 32-bit records from one
+    ``rng.randbytes`` call, and one :func:`_eval_poly_many` call evaluates
+    the genuine units with the draw's abscissas.  A record whose abscissa is
+    taken, or whose ordinate lies on the polynomial, is rejected, and the
+    shortfall is drawn again the same way: abscissas stay distinct, a repeat
+    loses to its first copy, and no chaff point can pass as genuine.
+    DomainError unless ``count`` is an int >= 0, as in :class:`VaultParams`,
+    and the genuine units are distinct and in [0, 65535].
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise DomainError(f"chaff count must be an int >= 0, not {count!r}")
-    if count + len(genuine_us) > GF_ORDER:
-        raise DomainError(f"{count} chaff + {len(genuine_us)} genuine exceed {GF_ORDER} abscissas")
     used = set(genuine_us)
-    chaff: list[tuple[int, int]] = []
-    need = count
-    while need:
-        words = struct.unpack(f">{2 * need}H", rng.randbytes(4 * need))
+    if len(used) != len(genuine_us) or used and not 0 <= min(used) <= max(used) < GF_ORDER:
+        raise DomainError(f"genuine units must be distinct and in [0, {GF_ORDER - 1}]")
+    total = count + len(used)
+    if total > GF_ORDER:
+        raise DomainError(f"{count} chaff + {len(used)} genuine exceed {GF_ORDER} abscissas")
+    records: list[int] = []
+    first, need = list(genuine_us), count  # first: the units evaluated with the first draw
+    while first or need:
+        data = rng.randbytes(4 * need) if need else b""
+        words = struct.unpack(f">{2 * need}H", data)
         xs = words[0::2]
-        for a, b, y in zip(xs, words[1::2], _eval_poly_many(poly, xs)):
-            if a not in used and b != y:
+        curve = _eval_poly_many(poly, first + list(xs))
+        records += [u << 16 | y for u, y in zip(first, curve)]
+        for record, a, off in zip(struct.unpack(f">{need}I", data), xs,
+                                  map(ne, words[1::2], curve[len(first):])):
+            if off and a not in used:
                 used.add(a)
-                chaff.append((a, b))
-        need = count - len(chaff)
-    return chaff
+                records.append(record)
+        first, need = [], total - len(records)
+    return records
 
 
 def _scramble(points: list, rng: random.Random) -> None:
@@ -504,10 +511,12 @@ def _shake_cipher(records: bytes, header: bytes, cp: CombinedPassword) -> bytes:
 def encrypt_vault(params: VaultParams, words: Sequence[int],
                   cp: CombinedPassword) -> Vault:
     """The stored vault for clear points given as flat words a0, b0, a1,
-    b1, ...: their packed records with the keystream of its header and
+    b1, ...: their big-endian records, with the keystream of its header and
     ``cp`` xored over them.  Inverse of :func:`decrypt_vault`."""
-    records = struct.pack(f">{len(words)}H", *words)
-    return Vault(params, _shake_cipher(records, vault_header(params), cp))
+    words = array("H", words)
+    if sys.byteorder == "little":  # the records are big-endian
+        words.byteswap()
+    return Vault(params, _shake_cipher(words.tobytes(), vault_header(params), cp))
 
 
 def decrypt_vault(vault: Vault, cp: CombinedPassword) -> array:
@@ -530,12 +539,12 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
     lock units are taken, so enrollment and query sides always agree on
     the unit derivation; DomainError when it yields fewer than r, or for a
     point that is not a pair of ints on the 256x256 grid.  ``rng``
-    drives chaff placement and the final scramble; the same template,
-    secret, password, params, and rng seed reproduce a byte-identical
-    vault.  The scramble makes ``rng.shuffle``'s ``getrandbits`` draws
-    without calling it, so a ``random.Random`` ends in the same state; a
-    subclass that overrides only ``random()`` gets another scramble, as
-    uniform and as reproducible.
+    drives chaff placement and the final scramble of the records that
+    :func:`generate_chaff` returns; the same template, secret, password,
+    params, and rng seed reproduce a byte-identical vault.  The scramble
+    makes ``rng.shuffle``'s ``getrandbits`` draws without calling it, so a
+    ``random.Random`` ends in the same state; a subclass that overrides
+    only ``random()`` gets another scramble, as uniform and as reproducible.
     """
     if params is None:
         params = VaultParams()
@@ -548,11 +557,12 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
             f"need {params.r}"
         )
     payload = append_crc(mask_secret(secret, cp))
-    poly = encode_secret(payload)
-    points = [(u, eval_poly(poly, u)) for u in units]
-    points += generate_chaff(set(units), poly, params.c, rng)
-    _scramble(points, rng)
-    return encrypt_vault(params, list(chain.from_iterable(points)), cp)
+    records = generate_chaff(units, encode_secret(payload), params.c, rng)
+    _scramble(records, rng)
+    words = array("H", struct.pack(f">{len(records)}I", *records))
+    if sys.byteorder == "little":  # the records are big-endian
+        words.byteswap()
+    return encrypt_vault(params, words, cp)
 
 
 def match_candidates(words: Sequence[int], query_units: Sequence[int],

@@ -3,8 +3,9 @@
 The IFV2 golden bytes rest on ``random``'s stream, ``struct``, the lane
 kernel's ``itemgetter`` gathers and ``bytes.translate`` tables, and the
 scramble's copy of ``random.Random.shuffle``'s draws, so this script
-rebuilds the three frames of ``vectors.GOLDEN_IFV2``, which
-``test_templates.py::TestVaultFrame::test_golden_bytes_ifv2`` also pins,
+rebuilds the three frames of ``vectors.GOLDEN_IFV2`` and checks the
+generator's next draw after each, as
+``test_templates.py::TestVaultFrame::test_golden_bytes_ifv2`` also does,
 compares the lane kernel, the chaff draw and the scramble with their
 references, and hashes the Reed-Solomon decoder's answers on a fixed mix of
 candidate sets, as drawn and in open_vault's conflicts-last order, without
@@ -40,17 +41,21 @@ from irisvault.vault import (  # noqa: E402
 )
 
 from oracles import generate_chaff_oracle  # noqa: E402
-from vectors import GOLDEN_IFV2  # noqa: E402
+from vectors import GOLDEN_IFV2, GOLDEN_IFV2_NEXT_DRAW  # noqa: E402
 
 
 def golden_digests() -> bool:
     ok = True
     for seed, cp, digest, count, r in GOLDEN_IFV2:
+        rng = random.Random(seed)
         vault = build_vault(synth_template(seed, count, 4), bytes(16), cp,
-                            VaultParams(r=r, c=200), random.Random(seed))
+                            VaultParams(r=r, c=200), rng)
         got = hashlib.sha256(write_vault(vault)).hexdigest()
         print(f"IFV2 seed {seed}: {'ok' if got == digest else 'MISMATCH ' + got}")
-        ok &= got == digest
+        after = rng.getrandbits(64)
+        print(f"IFV2 seed {seed}, next draw: "
+              f"{'ok' if after == GOLDEN_IFV2_NEXT_DRAW[seed] else f'MISMATCH {after:#x}'}")
+        ok &= got == digest and after == GOLDEN_IFV2_NEXT_DRAW[seed]
     return ok
 
 
@@ -108,14 +113,19 @@ def lane_kernel(cases: int) -> bool:
 
 
 def chaff_draw(seeds: int) -> bool:
+    """generate_chaff's records against the genuine units on the curve, in
+    the order given, followed by the pair-by-pair oracle's chaff."""
     rng = random.Random(21)
     bad = 0
     for seed in range(seeds):
         poly = [rng.randrange(0x10000) for _ in range(9)]
-        genuine = set(rng.sample(range(0x10000), 20))
-        bad += (generate_chaff(genuine, poly, 200, random.Random(seed))
-                != generate_chaff_oracle(genuine, poly, 200, random.Random(seed)))
-    print(f"chaff draw: {seeds - bad} of {seeds} seeds equal the pair-by-pair oracle")
+        genuine = rng.sample(range(0x10000), 20)
+        expect = [u << 16 | eval_poly(poly, u) for u in genuine]
+        expect += [a << 16 | b for a, b in
+                   generate_chaff_oracle(genuine, poly, 200, random.Random(seed))]
+        bad += generate_chaff(genuine, poly, 200, random.Random(seed)) != expect
+    print(f"chaff draw: {seeds - bad} of {seeds} seeds equal the genuine records "
+          f"and the pair-by-pair oracle")
     return not bad
 
 

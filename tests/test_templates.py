@@ -13,7 +13,7 @@ from irisvault.templates import parse_template, synth_template, write_template
 from irisvault.transform import MinutiaPoint
 from irisvault.vault import Vault, VaultParams, build_vault, open_vault, read_vault, write_vault
 
-from vectors import FUZZY, GOLDEN_IFV2, TOKEN
+from vectors import FUZZY, GOLDEN_IFV2, GOLDEN_IFV2_NEXT_DRAW, TOKEN
 
 DATA = Path(__file__).parent / "data"
 
@@ -178,9 +178,12 @@ class TestVaultFrame:
     def test_golden_bytes_ifv2(self, seed, cp, digest, count, r):
         # Frozen IFV2 frames: a change to chaff, encoding or cipher that
         # alters the bytes would also stop existing vault files opening.
+        # The generator's next draw pins the draws enrolment made.
         template = synth_template(seed, count, 4)
         params = VaultParams(r=r, c=200)
-        blob = write_vault(build_vault(template, bytes(16), cp, params, random.Random(seed)))
+        rng = random.Random(seed)
+        blob = write_vault(build_vault(template, bytes(16), cp, params, rng))
+        assert rng.getrandbits(64) == GOLDEN_IFV2_NEXT_DRAW[seed]
         assert blob[:5] == b"IFV2\x02"
         assert len(blob) == 16 + 4 * (r + 200)
         assert hashlib.sha256(blob).hexdigest() == digest

@@ -204,11 +204,17 @@ class TestEvalPoly:
     @example([_GF_EXP[65534] if k in LINEAR else 0 for k in range(8, -1, -1)], SPREAD)
     @example([0 if k in LINEAR else 0xBEEF ^ k for k in range(16, -1, -1)], SPREAD)
     @example([_GF_EXP[65534] if k in LINEAR else 0 for k in range(16, -1, -1)], SPREAD)
+    # Top degrees 9 and 15 are lane terms: the lanes run through the top.
+    @example([0xBEEF ^ k for k in range(9, -1, -1)], SPREAD)
+    @example([0xBEEF ^ k for k in range(15, -1, -1)], SPREAD)
     @example([0] + [0x1234] * 8, list(range(_LANES_MIN)))
     @example([0x1234] * 9, list(range(1, _LANES_MIN)))
     # At x = exp[21845] the lane's power reaches 3 * 21845 = 65535 for c3,
     # and log c3 = 65534 makes its exp index 131069, the table's last.
     @example([1] * 5 + [_GF_EXP[65534]] + [1] * 3, [_GF_EXP[21845]] * _LANES_MIN + [0])
+    # 7 * 56173 = 5 * 65536 + 65531: one fold leaves 65536, and with log c7
+    # = 65534 the index would pass the table's end; the second fold gives 1.
+    @example([1, _GF_EXP[65534]] + [1] * 7, [_GF_EXP[56173]] * _LANES_MIN)
     def test_lane_kernel_matches_scalar(self, coeffs, xs):
         assert _eval_poly_many(coeffs, xs) == [eval_poly(coeffs, x) for x in xs]
 
@@ -256,73 +262,114 @@ def packed(pairs):
     return struct.pack(f">{2 * len(pairs)}H", *chain.from_iterable(pairs))
 
 
+def records(pairs):
+    """``(a, b)`` points as the records ``a << 16 | b`` that generate_chaff
+    returns."""
+    return [a << 16 | b for a, b in pairs]
+
+
+def on_curve(units, poly):
+    """The records of the genuine units on the polynomial, in order."""
+    return records((u, eval_poly(poly, u)) for u in units)
+
+
 class TestChaff:
     def test_empty(self):
         poly = encode_secret(bytes(18))
-        assert generate_chaff(set(), poly, 0, random.Random(0)) == []
+        assert generate_chaff([], poly, 0, random.Random(0)) == []
+
+    def test_count_zero_makes_no_draw(self):
+        # The genuine records alone, in the order given, and no randbytes call.
+        poly = encode_secret(append_crc(SECRET))
+        units = [0x5000, 7, 0, 0xFFFF]
+        expect = records((u, eval_poly_oracle(poly, u)) for u in units)
+        assert generate_chaff(units, poly, 0, Scripted([])) == expect
 
     def test_default_scale(self):
         poly = encode_secret(append_crc(SECRET))
-        genuine = set(range(0, 2000, 100))
-        chaff = generate_chaff(genuine, poly, 200, random.Random(5))
-        assert len(chaff) == 200
-        abscissas = {a for a, _ in chaff} | genuine
-        assert len(abscissas) == 220
+        genuine = list(range(1900, -1, -100))
+        got = generate_chaff(genuine, poly, 200, random.Random(5))
+        assert len(got) == 220
+        assert got[:20] == on_curve(genuine, poly)
+        assert len({rec >> 16 for rec in got}) == 220
 
     def test_never_on_curve(self):
         poly = encode_secret(append_crc(SECRET))
-        chaff = generate_chaff(set(), poly, 500, random.Random(6))
-        assert all(b != eval_poly(poly, a) for a, b in chaff)
+        chaff = generate_chaff([], poly, 500, random.Random(6))
+        assert all(rec & 0xFFFF != eval_poly(poly, rec >> 16) for rec in chaff)
 
-    @given(st.integers(0, 2**32), st.sets(st.integers(0, 0xFFFF), max_size=60),
+    @given(st.integers(0, 2**32), st.lists(st.integers(0, 0xFFFF), max_size=60, unique=True),
            st.integers(0, 300), coeff_tuples)
     @settings(max_examples=100, deadline=None)
     def test_rules_hold_for_any_draw(self, seed, genuine, count, poly):
-        chaff = generate_chaff(genuine, poly, count, random.Random(seed))
+        got = generate_chaff(genuine, poly, count, random.Random(seed))
+        assert got[:len(genuine)] == records((u, eval_poly_oracle(poly, u)) for u in genuine)
+        chaff = got[len(genuine):]
         assert len(chaff) == count
-        abscissas = {a for a, _ in chaff}
+        abscissas = {rec >> 16 for rec in chaff}
         assert len(abscissas) == count
-        assert not abscissas & genuine
-        assert all(b != eval_poly_oracle(poly, a) for a, b in chaff)
-        assert generate_chaff(genuine, poly, count, random.Random(seed)) == chaff
+        assert not abscissas & set(genuine)
+        assert all(rec & 0xFFFF != eval_poly_oracle(poly, rec >> 16) for rec in chaff)
+        assert generate_chaff(genuine, poly, count, random.Random(seed)) == got
 
     def test_rejected_pairs_are_drawn_again(self):
         # A genuine abscissa, a point on the curve and a repeated abscissa
-        # each cost their whole pair, and only the shortfall is drawn again.
+        # each cost their whole record, and only the shortfall is drawn again.
         poly = encode_secret(append_crc(SECRET))
         y7, y12 = eval_poly(poly, 7), eval_poly(poly, 12)
         rng = Scripted([struct.pack(">6H", 5, 1, 7, y7, 9, 2), struct.pack(">4H", 9, 3, 11, 4),
                         struct.pack(">2H", 12, y12 ^ 1)])
-        assert generate_chaff({5}, poly, 3, rng) == [(9, 2), (11, 4), (12, y12 ^ 1)]
+        assert generate_chaff([5], poly, 3, rng) == on_curve([5], poly) + records(
+            [(9, 2), (11, 4), (12, y12 ^ 1)])
         assert rng.draws == []
 
     def test_one_draw_keeps_every_pair_in_draw_order(self):
         # Distinct abscissas, none taken and every pair off the curve: one
-        # randbytes call, and every pair kept in draw order.
+        # randbytes call, and every record kept in draw order.
         poly = encode_secret(append_crc(SECRET))
         pairs = [(a, eval_poly_oracle(poly, a) ^ a) for a in range(100, 300, 5)]
         rng = Scripted([packed(pairs)])
-        assert generate_chaff({5}, poly, len(pairs), rng) == pairs
+        assert generate_chaff([5], poly, len(pairs), rng) == on_curve([5], poly) + records(pairs)
         assert rng.draws == []
         assert generate_chaff_oracle({5}, poly, len(pairs), Scripted([packed(pairs)])) == pairs
 
     def test_one_on_curve_pair_is_drawn_again(self):
         # No repeat and no taken abscissa, but one pair on the curve: that
-        # pair alone is rejected, and a draw of one pair replaces it.
+        # record alone is rejected, and a draw of one record replaces it.
         poly = encode_secret(append_crc(SECRET))
         first = [(a, eval_poly_oracle(poly, a) ^ 1) for a in range(100, 300, 5)]
         first[17] = (first[17][0], eval_poly_oracle(poly, first[17][0]))
         again = [(7, eval_poly_oracle(poly, 7) ^ 2)]
         rng = Scripted([packed(first), packed(again)])
-        chaff = generate_chaff({5}, poly, len(first), rng)
-        assert chaff == first[:17] + first[18:] + again
+        got = generate_chaff([5], poly, len(first), rng)
+        assert got == on_curve([5], poly) + records(first[:17] + first[18:] + again)
         assert rng.draws == []
         oracle_rng = Scripted([packed(first), packed(again)])
-        assert generate_chaff_oracle({5}, poly, len(first), oracle_rng) == chaff
+        assert records(generate_chaff_oracle({5}, poly, len(first), oracle_rng)) == got[1:]
+
+    def test_genuine_units_and_first_draw_share_one_evaluation(self, monkeypatch):
+        # The genuine units go through the first draw's kernel call; a
+        # rejected record costs a call on the redraw alone.
+        poly = encode_secret(append_crc(SECRET))
+        sizes = []
+
+        def counted(coeffs, xs):
+            sizes.append(len(xs))
+            return _eval_poly_many(coeffs, xs)
+
+        monkeypatch.setattr("irisvault.vault._eval_poly_many", counted)
+        genuine = list(range(20))
+        first = [(a, eval_poly_oracle(poly, a) ^ 1) for a in range(100, 300, 5)]
+        first[3] = first[2]
+        again = [(400, eval_poly_oracle(poly, 400) ^ 1)]
+        rng = Scripted([packed(first), packed(again)])
+        got = generate_chaff(genuine, poly, len(first), rng)
+        assert sizes == [20 + len(first), 1]
+        assert got == on_curve(genuine, poly) + records(first[:3] + first[4:] + again)
 
     def test_lane_draw_keeps_first_copy_and_fixes_abscissa_zero(self):
         # One draw long enough for the lane kernel holds abscissa 0 on the
-        # curve, then off it, and a free abscissa twice: the pair on the
+        # curve, then off it, and a free abscissa twice: the record on the
         # curve and the second copy are rejected, and only those two are
         # drawn again.  A lane with x = 0 holds f(1) before its fix-up, so
         # these coefficients (those of test_frozen_oracle_value) must not
@@ -333,43 +380,65 @@ class TestChaff:
         first = [(0, c0), (77, 5), (0, c0 ^ 1), (77, 6)] + filler
         again = [(3, eval_poly_oracle(poly, 3) ^ 2), (4, eval_poly_oracle(poly, 4) ^ 2)]
         rng = Scripted([packed(first), packed(again)])
-        chaff = generate_chaff(set(), poly, len(first), rng)
-        assert chaff == [(77, 5), (0, c0 ^ 1)] + filler + again
+        chaff = generate_chaff([], poly, len(first), rng)
+        assert chaff == records([(77, 5), (0, c0 ^ 1)] + filler + again)
         assert rng.draws == []
 
-    # Genuine sets are sparse, 0 included, or a dense run that leaves few
+    def test_genuine_abscissa_zero_in_a_lane_draw(self):
+        # A genuine unit 0 shares the lane kernel's call with the draw, so
+        # its ordinate is c0 after the fix-up, and a drawn 0 is taken.
+        poly = (0x8165, 0xA6DD, 0x6506, 0x7B21, 0x62E1, 0x3AE9, 0x95AB, 0xF3D5, 0x79C2)
+        filler = [(1000 + i, eval_poly_oracle(poly, 1000 + i) ^ 1) for i in range(_LANES_MIN)]
+        again = [(3, eval_poly_oracle(poly, 3) ^ 2)]
+        rng = Scripted([packed([(0, 1)] + filler), packed(again)])
+        got = generate_chaff([9, 0], poly, len(filler) + 1, rng)
+        assert got == records([(9, eval_poly_oracle(poly, 9)), (0, poly[-1])] + filler + again)
+
+    # Genuine lists are sparse, 0 included, or a dense run that leaves few
     # abscissas free, so draws collide and the redraws fall below the lane
     # crossover.
     @given(st.integers(0, 2**32),
-           st.one_of(st.sets(st.one_of(st.just(0), st.integers(0, 0xFFFF)), max_size=60),
-                     st.builds(lambda lo, width: set(range(lo, lo + width)),
+           st.one_of(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), max_size=60,
+                              unique=True),
+                     st.builds(lambda lo, width: list(range(lo, lo + width)),
                                st.integers(0, 500), st.integers(0, 65_000))),
            st.integers(0, 400), coeff_tuples)
     @settings(max_examples=100, deadline=None)
     def test_matches_pair_by_pair_oracle(self, seed, genuine, count, poly):
+        oracle = generate_chaff_oracle(genuine, poly, count, random.Random(seed))
         assert (generate_chaff(genuine, poly, count, random.Random(seed))
-                == generate_chaff_oracle(genuine, poly, count, random.Random(seed)))
+                == on_curve(genuine, poly) + records(oracle))
 
     def test_fills_the_whole_space(self):
         # The last free abscissas are hit rarely, so this shows that the
         # redraw loop ends with every one of the 65,536 taken.
         poly = encode_secret(append_crc(SECRET))
-        genuine = set(range(0, GF_ORDER, 2)) | set(range(1, 60_000, 2))
+        genuine = sorted(set(range(0, GF_ORDER, 2)) | set(range(1, 60_000, 2)))
         count = GF_ORDER - len(genuine)
-        chaff = generate_chaff(genuine, poly, count, random.Random(9))
-        assert {a for a, _ in chaff} | genuine == set(range(GF_ORDER))
-        assert all(b != eval_poly(poly, a) for a, b in chaff)
+        got = generate_chaff(genuine, poly, count, random.Random(9))
+        assert got[:len(genuine)] == on_curve(genuine, poly)
+        assert sorted(rec >> 16 for rec in got) == list(range(GF_ORDER))
+        assert all(rec & 0xFFFF != eval_poly(poly, rec >> 16) for rec in got[len(genuine):])
 
     def test_space_exhausted(self):
         poly = encode_secret(bytes(18))
         with pytest.raises(DomainError, match="exceed 65536 abscissas"):
-            generate_chaff(set(range(100)), poly, 65537 - 100, random.Random(0))
+            generate_chaff(list(range(100)), poly, 65537 - 100, random.Random(0))
 
     @pytest.mark.parametrize("count", [-3, 2.0, True, None])
     def test_count_must_be_an_int_at_least_zero(self, count):
         poly = encode_secret(bytes(18))
         with pytest.raises(DomainError, match=r"^chaff count must be an int >= 0, not "):
-            generate_chaff(set(), poly, count, random.Random(0))
+            generate_chaff([], poly, count, random.Random(0))
+
+    @pytest.mark.parametrize("genuine", [[5, 5], [3, 9, 3], [-1], [65536], [7, 0x10000 + 7]])
+    def test_genuine_units_must_be_distinct_and_16_bit(self, genuine):
+        # Evaluated and emitted as records, a repeat would give two points
+        # one abscissa, and a unit past 16 bits would spill into another
+        # record's half; a unit 0x10000 + u also aliases u in a record.
+        poly = encode_secret(bytes(18))
+        with pytest.raises(DomainError, match=r"^genuine units must be distinct and in \[0, 65535\]$"):
+            generate_chaff(genuine, poly, 3, Scripted([]))
 
 
 def make_vault(seed=0, params=None, secret=SECRET, cp=FUZZY):
