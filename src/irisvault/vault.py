@@ -7,10 +7,10 @@ points among uniformly random chaff, scrambles the list, packs it into 4-byte
 records and xors a keystream over them: SHAKE-128 of the vault's 16-byte
 header and the password, so a vault whose header was edited decrypts to
 noise.  A :class:`Vault` only ever holds those stored bytes, the point
-region of a vault file.  Enrolment holds each clear point as one record
-a << 16 | b from the chaff draw to the cipher; decryption gives one flat
-sequence of 16-bit words a0, b0, a1, b1, ..., and :func:`match_candidates`
-builds ``(a, b)`` tuples only for the points it keeps.
+region of a vault file.  The clear points have the same layout: one
+big-endian record a << 16 | b per point, from the chaff draw through the
+cipher and back, and only :func:`match_candidates` reads them as numbers,
+building ``(a, b)`` tuples only for the points it keeps.
 A polynomial is a plain tuple of nine coefficients, highest degree first.
 
 A vault file is one frame, which :func:`write_vault` writes and
@@ -146,7 +146,7 @@ class Vault(namedtuple("Vault", "params records")):
     :data:`POINT_RECORD` per point, the vault file's point region, with the
     keystream of the header and the password xored over it, so without the
     password the records carry no structure.  :func:`decrypt_vault` returns
-    the clear words."""
+    the clear region."""
 
     __slots__ = ()
 
@@ -460,10 +460,13 @@ def generate_chaff(genuine_us: Sequence[int], poly: Sequence[int], count: int,
     shortfall is drawn again the same way: abscissas stay distinct, a repeat
     loses to its first copy, and no chaff point can pass as genuine.
     DomainError unless ``count`` is an int >= 0, as in :class:`VaultParams`,
-    and the genuine units are distinct and in [0, 65535].
+    and the genuine units are distinct ints, not bools, in [0, 65535].
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise DomainError(f"chaff count must be an int >= 0, not {count!r}")
+    for u in genuine_us:
+        if type(u) is not int:
+            raise DomainError(f"genuine unit {u!r} must be an int, not {type(u).__name__}")
     used = set(genuine_us)
     if len(used) != len(genuine_us) or used and not 0 <= min(used) <= max(used) < GF_ORDER:
         raise DomainError(f"genuine units must be distinct and in [0, {GF_ORDER - 1}]")
@@ -508,26 +511,18 @@ def _shake_cipher(records: bytes, header: bytes, cp: CombinedPassword) -> bytes:
     return xored.to_bytes(len(records), "big")
 
 
-def encrypt_vault(params: VaultParams, words: Sequence[int],
-                  cp: CombinedPassword) -> Vault:
-    """The stored vault for clear points given as flat words a0, b0, a1,
-    b1, ...: their big-endian records, with the keystream of its header and
-    ``cp`` xored over them.  Inverse of :func:`decrypt_vault`."""
-    words = array("H", words)
-    if sys.byteorder == "little":  # the records are big-endian
-        words.byteswap()
-    return Vault(params, _shake_cipher(words.tobytes(), vault_header(params), cp))
+def encrypt_vault(params: VaultParams, clear: bytes, cp: CombinedPassword) -> Vault:
+    """The stored vault for the clear point region ``clear``: the keystream
+    of its header and ``cp`` xored over it.  Inverse of :func:`decrypt_vault`."""
+    return Vault(params, _shake_cipher(clear, vault_header(params), cp))
 
 
-def decrypt_vault(vault: Vault, cp: CombinedPassword) -> array:
-    """The clear points of a stored vault under ``cp``, as one
-    ``array('H')`` of words a0, b0, a1, b1, ..., two per record.  A wrong
-    password, or a header edited since enrolment, yields points with no
-    structure, not an error."""
-    words = array("H", _shake_cipher(vault.records, vault_header(vault.params), cp))
-    if sys.byteorder == "little":  # the records are big-endian
-        words.byteswap()
-    return words
+def decrypt_vault(vault: Vault, cp: CombinedPassword) -> bytes:
+    """The clear point region of a stored vault under ``cp``: ``bytes`` with
+    one :data:`POINT_RECORD` per point, as stored.  A wrong password, or a
+    header edited since enrolment, yields points with no structure, not an
+    error."""
+    return _shake_cipher(vault.records, vault_header(vault.params), cp)
 
 
 def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
@@ -559,32 +554,35 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
     payload = append_crc(mask_secret(secret, cp))
     records = generate_chaff(units, encode_secret(payload), params.c, rng)
     _scramble(records, rng)
-    words = array("H", struct.pack(f">{len(records)}I", *records))
-    if sys.byteorder == "little":  # the records are big-endian
-        words.byteswap()
-    return encrypt_vault(params, words, cp)
+    return encrypt_vault(params, struct.pack(f">{len(records)}I", *records), cp)
 
 
-def match_candidates(words: Sequence[int], query_units: Sequence[int],
+def match_candidates(clear: bytes, query_units: Sequence[int],
                      epsilon: float) -> list[tuple[int, int]]:
-    """The clear vault points, given as flat words a0, b0, a1, b1, ... (see
-    :func:`decrypt_vault`), whose decoded (x, y) = (a >> 8, a & 0xFF) lie
-    within ``epsilon`` of a query unit's decoded point, as ``(a, b)``
-    tuples sorted stably by ascending abscissa alone.
+    """The points of the clear region ``clear`` (see :func:`decrypt_vault`),
+    read as one ``array('H')`` of words a0, b0, a1, b1, ..., whose decoded
+    (x, y) = (a >> 8, a & 0xFF) lie within ``epsilon`` of a query unit's
+    decoded point, as ``(a, b)`` tuples sorted stably by ascending abscissa alone.
 
     epsilon 0 degenerates to exact unit equality.  Otherwise discs are ORed
     into a padded table of row bitmasks: with reach = isqrt(floor(epsilon^2))
     cut at 255, (x, y) is bit y + reach of row x + reach, so no shift is
     negative, and dropping the first reach rows makes row x one list index.
 
-    Raises DomainError unless 0 <= epsilon < inf and 0 <= unit < 65536.
+    Raises DomainError unless 0 <= epsilon < inf, 0 <= unit < 65536 and
+    ``clear`` holds whole 4-byte records.
     """
+    if len(clear) % POINT_RECORD.size:
+        raise DomainError(f"clear region of {len(clear)} bytes is not whole 4-byte records")
     if not isfinite(epsilon):
         raise DomainError(f"epsilon={epsilon} is not finite")
     if epsilon < 0:
         raise DomainError(f"epsilon={epsilon} must be at least 0")
     if query_units and not 0 <= min(query_units) <= max(query_units) < GF_ORDER:
         raise DomainError(f"query units must lie in [0, {GF_ORDER - 1}]")
+    words = array("H", clear)
+    if sys.byteorder == "little":  # the records are big-endian
+        words.byteswap()
     abscissas = words[0::2]
     if epsilon == 0:
         picked = compress(range(len(abscissas)), map(set(query_units).__contains__, abscissas))

@@ -6,10 +6,13 @@ scramble's copy of ``random.Random.shuffle``'s draws, so this script
 rebuilds the three frames of ``vectors.GOLDEN_IFV2`` and checks the
 generator's next draw after each, as
 ``test_templates.py::TestVaultFrame::test_golden_bytes_ifv2`` also does,
-compares the lane kernel, the chaff draw and the scramble with their
-references, and hashes the Reed-Solomon decoder's answers on a fixed mix of
-candidate sets, as drawn and in open_vault's conflicts-last order, without
-pytest or Hypothesis.  Run it from the repository root under each
+then opens each frame through ``read_vault`` and ``open_vault``, whose
+candidate match is the one place the clear records become host-order
+words, and checks that the all-zero secret comes back.  It compares the
+lane kernel, the chaff draw and the scramble with their references, and
+hashes the Reed-Solomon decoder's answers on a fixed mix of candidate sets,
+as drawn and in open_vault's conflicts-last order, without pytest or
+Hypothesis.  Run it from the repository root under each
 interpreter to check:
 
     PYTHONPATH=src python tests/portability_check.py
@@ -26,6 +29,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from irisvault.errors import UnlockError  # noqa: E402
 from irisvault.templates import synth_template  # noqa: E402
 from irisvault.vault import (  # noqa: E402
     VaultParams,
@@ -37,6 +41,8 @@ from irisvault.vault import (  # noqa: E402
     decode_secret,
     eval_poly,
     generate_chaff,
+    open_vault,
+    read_vault,
     write_vault,
 )
 
@@ -48,14 +54,20 @@ def golden_digests() -> bool:
     ok = True
     for seed, cp, digest, count, r in GOLDEN_IFV2:
         rng = random.Random(seed)
-        vault = build_vault(synth_template(seed, count, 4), bytes(16), cp,
-                            VaultParams(r=r, c=200), rng)
-        got = hashlib.sha256(write_vault(vault)).hexdigest()
+        template = synth_template(seed, count, 4)
+        frame = write_vault(build_vault(template, bytes(16), cp, VaultParams(r=r, c=200), rng))
+        got = hashlib.sha256(frame).hexdigest()
         print(f"IFV2 seed {seed}: {'ok' if got == digest else 'MISMATCH ' + got}")
         after = rng.getrandbits(64)
         print(f"IFV2 seed {seed}, next draw: "
               f"{'ok' if after == GOLDEN_IFV2_NEXT_DRAW[seed] else f'MISMATCH {after:#x}'}")
-        ok &= got == digest and after == GOLDEN_IFV2_NEXT_DRAW[seed]
+        try:
+            opened = open_vault(read_vault(frame), template, cp)
+        except UnlockError as exc:
+            opened = exc
+        print(f"IFV2 seed {seed}, opened: "
+              f"{'ok' if opened == bytes(16) else f'MISMATCH {opened!r}'}")
+        ok &= got == digest and after == GOLDEN_IFV2_NEXT_DRAW[seed] and opened == bytes(16)
     return ok
 
 

@@ -1,5 +1,5 @@
-"""The names the benchmark, its tracer and the README look up resolve, and
-names the package dropped stay gone.
+"""The names the benchmark, its tracer and the README look up resolve, the
+README's library example runs, and names the package dropped stay gone.
 
 perfbench/ is read as text, not imported.  Its tracer skips a name that
 does not resolve, so there a removed name would not fail but only leave
@@ -48,6 +48,12 @@ def test_readme_library_names_resolve():
     names = [n.strip() for n in block.group(1).split(",") if n.strip()]
     assert "build_vault" in names
     assert [n for n in names if not hasattr(irisvault, n)] == []
+
+
+def test_readme_library_block_runs():
+    # The README's library example, asserts included, as a reader would paste it.
+    [block] = re.findall(r"^```python\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("module, name", [

@@ -7,8 +7,6 @@ import random
 import struct
 import subprocess
 import sys
-from array import array
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -20,6 +18,7 @@ from irisvault.password import CombinedPassword, derive_blocks, mask_secret
 from irisvault.templates import synth_template
 from irisvault.transform import MinutiaPoint, prune_close, transform_template
 from irisvault.vault import (
+    POINT_RECORD,
     Vault,
     VaultParams,
     _LANES_MIN,
@@ -78,15 +77,15 @@ def raw_units(points, r):
     return _template_units(points, IDENTITY, VaultParams(r=r, d=0))
 
 
-def flat(points):
-    """Clear ``(a, b)`` points as the words a0, b0, a1, b1, ... that
-    encrypt_vault and match_candidates take."""
-    return list(chain.from_iterable(points))
+def region(points):
+    """``(a, b)`` points as big-endian records, the layout of a vault's point
+    region, clear or stored, and of generate_chaff's draws."""
+    return b"".join(POINT_RECORD.pack(a, b) for a, b in points)
 
 
-def pairs_of(words):
-    """The ``(a, b)`` points of flat clear words, as the oracles take them."""
-    return list(zip(words[0::2], words[1::2]))
+def pairs_of(clear):
+    """The ``(a, b)`` points of a clear region, as the oracles take them."""
+    return list(POINT_RECORD.iter_unpack(clear))
 
 
 class TestLockUnits:
@@ -258,10 +257,6 @@ class Scripted(random.Random):
         return self.draws.pop(0)
 
 
-def packed(pairs):
-    return struct.pack(f">{2 * len(pairs)}H", *chain.from_iterable(pairs))
-
-
 def records(pairs):
     """``(a, b)`` points as the records ``a << 16 | b`` that generate_chaff
     returns."""
@@ -328,10 +323,10 @@ class TestChaff:
         # randbytes call, and every record kept in draw order.
         poly = encode_secret(append_crc(SECRET))
         pairs = [(a, eval_poly_oracle(poly, a) ^ a) for a in range(100, 300, 5)]
-        rng = Scripted([packed(pairs)])
+        rng = Scripted([region(pairs)])
         assert generate_chaff([5], poly, len(pairs), rng) == on_curve([5], poly) + records(pairs)
         assert rng.draws == []
-        assert generate_chaff_oracle({5}, poly, len(pairs), Scripted([packed(pairs)])) == pairs
+        assert generate_chaff_oracle({5}, poly, len(pairs), Scripted([region(pairs)])) == pairs
 
     def test_one_on_curve_pair_is_drawn_again(self):
         # No repeat and no taken abscissa, but one pair on the curve: that
@@ -340,11 +335,11 @@ class TestChaff:
         first = [(a, eval_poly_oracle(poly, a) ^ 1) for a in range(100, 300, 5)]
         first[17] = (first[17][0], eval_poly_oracle(poly, first[17][0]))
         again = [(7, eval_poly_oracle(poly, 7) ^ 2)]
-        rng = Scripted([packed(first), packed(again)])
+        rng = Scripted([region(first), region(again)])
         got = generate_chaff([5], poly, len(first), rng)
         assert got == on_curve([5], poly) + records(first[:17] + first[18:] + again)
         assert rng.draws == []
-        oracle_rng = Scripted([packed(first), packed(again)])
+        oracle_rng = Scripted([region(first), region(again)])
         assert records(generate_chaff_oracle({5}, poly, len(first), oracle_rng)) == got[1:]
 
     def test_genuine_units_and_first_draw_share_one_evaluation(self, monkeypatch):
@@ -362,7 +357,7 @@ class TestChaff:
         first = [(a, eval_poly_oracle(poly, a) ^ 1) for a in range(100, 300, 5)]
         first[3] = first[2]
         again = [(400, eval_poly_oracle(poly, 400) ^ 1)]
-        rng = Scripted([packed(first), packed(again)])
+        rng = Scripted([region(first), region(again)])
         got = generate_chaff(genuine, poly, len(first), rng)
         assert sizes == [20 + len(first), 1]
         assert got == on_curve(genuine, poly) + records(first[:3] + first[4:] + again)
@@ -379,7 +374,7 @@ class TestChaff:
         filler = [(1000 + i, eval_poly_oracle(poly, 1000 + i) ^ 1) for i in range(_LANES_MIN)]
         first = [(0, c0), (77, 5), (0, c0 ^ 1), (77, 6)] + filler
         again = [(3, eval_poly_oracle(poly, 3) ^ 2), (4, eval_poly_oracle(poly, 4) ^ 2)]
-        rng = Scripted([packed(first), packed(again)])
+        rng = Scripted([region(first), region(again)])
         chaff = generate_chaff([], poly, len(first), rng)
         assert chaff == records([(77, 5), (0, c0 ^ 1)] + filler + again)
         assert rng.draws == []
@@ -390,7 +385,7 @@ class TestChaff:
         poly = (0x8165, 0xA6DD, 0x6506, 0x7B21, 0x62E1, 0x3AE9, 0x95AB, 0xF3D5, 0x79C2)
         filler = [(1000 + i, eval_poly_oracle(poly, 1000 + i) ^ 1) for i in range(_LANES_MIN)]
         again = [(3, eval_poly_oracle(poly, 3) ^ 2)]
-        rng = Scripted([packed([(0, 1)] + filler), packed(again)])
+        rng = Scripted([region([(0, 1)] + filler), region(again)])
         got = generate_chaff([9, 0], poly, len(filler) + 1, rng)
         assert got == records([(9, eval_poly_oracle(poly, 9)), (0, poly[-1])] + filler + again)
 
@@ -440,6 +435,18 @@ class TestChaff:
         with pytest.raises(DomainError, match=r"^genuine units must be distinct and in \[0, 65535\]$"):
             generate_chaff(genuine, poly, 3, Scripted([]))
 
+    @pytest.mark.parametrize("genuine, message", [
+        ([5.0], "genuine unit 5.0 must be an int, not float"),
+        ([True], "genuine unit True must be an int, not bool"),
+        ([3, 9, False], "genuine unit False must be an int, not bool"),
+    ])
+    def test_genuine_units_must_be_ints(self, genuine, message):
+        # As in VaultParams: a float once raised TypeError from the table
+        # lookup, and True was taken as the unit 1.
+        poly = encode_secret(bytes(18))
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            generate_chaff(genuine, poly, 0, Scripted([]))
+
 
 def make_vault(seed=0, params=None, secret=SECRET, cp=FUZZY):
     template = synth_template(seed, 20, 4)
@@ -473,12 +480,13 @@ class TestBuildVault:
 
     def test_distinct_abscissas_and_genuine_count(self):
         _, vault = make_vault(4)
-        words = decrypt_vault(vault, FUZZY)
-        assert words.typecode == "H" and len(words) == 440
-        assert len(set(words[0::2])) == 220
+        clear = decrypt_vault(vault, FUZZY)
+        assert type(clear) is bytes and len(clear) == 880
+        points = pairs_of(clear)
+        assert len({a for a, _ in points}) == 220
         payload = append_crc(mask_secret(SECRET, FUZZY))
         poly = encode_secret(payload)
-        on_curve = sum(1 for a, b in pairs_of(words) if eval_poly(poly, a) == b)
+        on_curve = sum(1 for a, b in points if eval_poly(poly, a) == b)
         assert on_curve == 20
 
     def test_insufficient_template(self):
@@ -502,9 +510,9 @@ class TestBuildVault:
 
     def test_any_nine_genuine_points_interpolate_back(self):
         _, vault = make_vault(15)
-        words = decrypt_vault(vault, FUZZY)
+        clear = decrypt_vault(vault, FUZZY)
         poly = encode_secret(append_crc(mask_secret(SECRET, FUZZY)))
-        genuine = [(a, b) for a, b in pairs_of(words) if eval_poly(poly, a) == b]
+        genuine = [(a, b) for a, b in pairs_of(clear) if eval_poly(poly, a) == b]
         assert len(genuine) == 20
         rng = random.Random(15)
         for _ in range(20):
@@ -513,10 +521,10 @@ class TestBuildVault:
 
     def test_cipher_round_trip_preserves_content(self):
         _, vault = make_vault(5)
-        words = decrypt_vault(vault, FUZZY)
-        assert encrypt_vault(vault.params, words, FUZZY) == vault
+        clear = decrypt_vault(vault, FUZZY)
+        assert encrypt_vault(vault.params, clear, FUZZY) == vault
         # Ciphertext actually differs from plaintext.
-        assert vault.records != struct.pack(f">{len(words)}H", *words)
+        assert vault.records != clear
 
     @given(st.binary(min_size=8, max_size=8),
            st.integers(9, 0xFFFF).flatmap(lambda r: st.builds(
@@ -532,24 +540,22 @@ class TestBuildVault:
                              params.d, params.epsilon, 0)
         stream = hashlib.shake_128(header + password).digest(4 * len(pairs))
         clear = b"".join(struct.pack(">HH", *p) for p in pairs)
-        vault = encrypt_vault(params, flat(pairs), cp)
+        vault = encrypt_vault(params, clear, cp)
         assert vault.records == bytes(x ^ k for x, k in zip(clear, stream))
-        assert decrypt_vault(vault, cp) == array("H", flat(pairs))
+        assert decrypt_vault(vault, cp) == clear
 
     @given(st.binary(min_size=8, max_size=8), st.integers(9, 300),
            st.integers(0, 300).flatmap(lambda n: st.binary(min_size=4 * n, max_size=4 * n)))
     @example(bytes(8), 20, bytes(range(256)) * 3 + bytes(12))
-    def test_decrypt_is_big_endian_words_of_the_xored_records(self, password, r, records):
-        # Any stored records, not only encrypt_vault's: the words are the
-        # big-endian 16-bit halves of records xor keystream, whatever the
-        # host's byte order.
+    def test_decrypt_is_the_xored_records(self, password, r, records):
+        # Any stored records, not only encrypt_vault's: the clear region is
+        # records xor keystream, byte for byte, whatever the host's byte order.
         params = VaultParams(r=r, c=len(records) // 4)
         header = struct.pack(">4sBBHHBBI", b"IFV2", 2, 8, r, params.c, 4, 0, 0)
         stream = hashlib.shake_128(header + password).digest(len(records))
-        clear = bytes(x ^ k for x, k in zip(records, stream))
-        words = decrypt_vault(Vault(params, records), CombinedPassword(password))
-        assert words.typecode == "H"
-        assert tuple(words) == struct.unpack(f">{len(records) // 2}H", clear)
+        clear = decrypt_vault(Vault(params, records), CombinedPassword(password))
+        assert type(clear) is bytes
+        assert clear == bytes(x ^ k for x, k in zip(records, stream))
 
 
 @given(st.lists(st.builds(MinutiaPoint, grid, grid), max_size=40),
@@ -576,12 +582,12 @@ def test_template_units_compose_transform_prune_and_lock(template, password, r, 
 class TestMatchCandidates:
     def test_exact_units_select_genuine(self):
         template, vault = make_vault(7)
-        words = decrypt_vault(vault, FUZZY)
+        clear = decrypt_vault(vault, FUZZY)
         payload = append_crc(mask_secret(SECRET, FUZZY))
         poly = encode_secret(payload)
-        genuine = sorted((a, b) for a, b in pairs_of(words) if eval_poly(poly, a) == b)
+        genuine = sorted((a, b) for a, b in pairs_of(clear) if eval_poly(poly, a) == b)
         assert len(genuine) == 20
-        hits = match_candidates(words, [a for a, _ in genuine], epsilon=0)
+        hits = match_candidates(clear, [a for a, _ in genuine], epsilon=0)
         assert hits == genuine
 
     def test_empty_query(self):
@@ -589,11 +595,11 @@ class TestMatchCandidates:
         assert match_candidates(decrypt_vault(vault, FUZZY), [], 0) == []
 
     def test_perturbed_unit_within_epsilon(self):
-        words = array("H", flat(((10 + i) << 8 | 100, i) for i in range(9)))
+        clear = region(((10 + i) << 8 | 100, i) for i in range(9))
         # Query unit decodes to (12, 101): distance 1 from vault point (12, 100).
-        hits = match_candidates(words, [12 << 8 | 101], epsilon=2)
+        hits = match_candidates(clear, [12 << 8 | 101], epsilon=2)
         assert (12 << 8 | 100, 2) in hits
-        assert match_candidates(words, [12 << 8 | 101], epsilon=0) == []
+        assert match_candidates(clear, [12 << 8 | 101], epsilon=0) == []
 
     @given(st.lists(grid_units, max_size=80), st.lists(grid_units, max_size=25),
            st.sampled_from((-0.0, 0, 0.5, 1, 1.5, 2, 2.5, 8, 40, 255, 363, 10**6)))
@@ -619,9 +625,9 @@ class TestMatchCandidates:
     @example([unit(5, 5), unit(5, 5), unit(3, 3)], [unit(5, 6), unit(3, 3)], 1)
     def test_agrees_with_brute_force_scan(self, abscissas, query, epsilon):
         # Ordinates descend along the list, so ties on the abscissa are told apart.
-        words = array("H", flat((a, len(abscissas) - i) for i, a in enumerate(abscissas)))
-        assert (match_candidates(words, query, epsilon)
-                == match_candidates_oracle(pairs_of(words), query, epsilon))
+        clear = region((a, len(abscissas) - i) for i, a in enumerate(abscissas))
+        assert (match_candidates(clear, query, epsilon)
+                == match_candidates_oracle(pairs_of(clear), query, epsilon))
 
     @given(st.lists(grid_units, min_size=1, max_size=6).flatmap(lambda pool: st.tuples(
                st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 0xFFFF)), max_size=60),
@@ -632,9 +638,9 @@ class TestMatchCandidates:
         # Records drawn from a few abscissas, so most repeat: every copy a
         # query reaches comes back, in record order among equal abscissas.
         points, query = case
-        words = array("H", flat(points))
-        hits = match_candidates(words, query, epsilon)
-        assert hits == match_candidates_oracle(pairs_of(words), query, epsilon)
+        clear = region(points)
+        hits = match_candidates(clear, query, epsilon)
+        assert hits == match_candidates_oracle(points, query, epsilon)
         assert all(type(p) is tuple and len(p) == 2 for p in hits)
 
     def test_shared_wanted_abscissa_returns_both_and_open_drops_both(self, monkeypatch):
@@ -646,14 +652,14 @@ class TestMatchCandidates:
         abscissas = [unit(20 * i + 5, (40 * i + 7) % 256) for i in range(11)]
         points = [(a, eval_poly(poly, a)) for a in abscissas]
         twin = (abscissas[3], points[3][1] ^ 1)
-        words = array("H", flat(points + [twin]))
-        hits = match_candidates(words, abscissas, 0)
+        clear = region(points + [twin])
+        hits = match_candidates(clear, abscissas, 0)
         assert hits == sorted(points)[:4] + [twin] + sorted(points)[4:]
         seen = []
         decode = _rs_decode
         monkeypatch.setattr("irisvault.vault._rs_decode",
                             lambda candidates: seen.append(list(candidates)) or decode(candidates))
-        vault = encrypt_vault(VaultParams(r=12, c=0, d=0, epsilon=0), words, cp)
+        vault = encrypt_vault(VaultParams(r=12, c=0, d=0, epsilon=0), clear, cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
         assert open_vault(vault, query, cp) == SECRET
         [candidates] = seen
@@ -671,7 +677,17 @@ class TestMatchCandidates:
         # Unit -1 decodes to (-1, 255), off the grid; a unit further below 0
         # would index the padded row table from its far end.
         with pytest.raises(DomainError, match=message):
-            match_candidates(array("H", [unit(0, 255), 1, unit(3, 3), 2]), query, epsilon)
+            match_candidates(region([(unit(0, 255), 1), (unit(3, 3), 2)]), query, epsilon)
+
+    @pytest.mark.parametrize("size", [1, 2, 6, 7, 882])
+    @pytest.mark.parametrize("epsilon", [0, 2])
+    def test_domain_partial_record(self, size, epsilon):
+        # A region cut inside a record; three words once raised IndexError
+        # from the last record's missing ordinate.
+        clear = region([(unit(3, 3), 2)] * 221)[:size]
+        with pytest.raises(DomainError, match=rf"^clear region of {size} bytes "
+                                              r"is not whole 4-byte records$"):
+            match_candidates(clear, [unit(3, 3)], epsilon)
 
 
 def corrupt(points, where, deltas):
@@ -847,7 +863,7 @@ class TestConflictsLast:
         genuine = [(a, eval_poly(poly, a)) for a in units]
         chaff = (unit(46, 87), eval_poly(poly, unit(46, 87)) ^ 1)
         assert units[2] == unit(45, 87) and units[1] < chaff[0] < units[8]
-        vault = encrypt_vault(VaultParams(r=12, c=1, d=4, epsilon=2), flat(genuine + [chaff]), cp)
+        vault = encrypt_vault(VaultParams(r=12, c=1, d=4, epsilon=2), region(genuine + [chaff]), cp)
         seen = []
         decode = _rs_decode
         monkeypatch.setattr("irisvault.vault._rs_decode",
@@ -894,7 +910,7 @@ class TestOpenVault:
         abscissas = [(20 * i + 5) << 8 | (40 * i + 7) % 256 for i in range(9)]
         points = [(a, eval_poly(poly, a)) for a in abscissas]
         points[4] = (points[4][0], points[4][1] ^ 1)
-        vault = encrypt_vault(VaultParams(r=9, c=0, d=0, epsilon=0), flat(points), cp)
+        vault = encrypt_vault(VaultParams(r=9, c=0, d=0, epsilon=0), region(points), cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
         with pytest.raises(UnlockError, match="fails the checksum"):
             open_vault(vault, query, cp)
@@ -913,7 +929,7 @@ class TestOpenVault:
             max_size=60))
         points = [(a, eval_poly(poly, a) if b is None else b) for a, b in records]
         epsilon = data.draw(st.sampled_from((0, 1, 3)))
-        vault = encrypt_vault(VaultParams(r=64, c=0, d=0, epsilon=epsilon), flat(points), cp)
+        vault = encrypt_vault(VaultParams(r=64, c=0, d=0, epsilon=epsilon), region(points), cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in data.draw(st.permutations(pool))]
         try:
             secret = open_vault(vault, query, cp)
@@ -931,10 +947,10 @@ class TestOpenVault:
         points.append((abscissas[3], points[3][1] ^ 1))
         params = VaultParams(r=20, c=0, d=0, epsilon=0)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
-        assert open_vault(encrypt_vault(params, flat(points), cp), query, cp) == SECRET
+        assert open_vault(encrypt_vault(params, region(points), cp), query, cp) == SECRET
         # Without the first two points, dropping the pair leaves eight.
         with pytest.raises(UnlockError, match="candidate points with distinct abscissas"):
-            open_vault(encrypt_vault(params, flat(points[2:]), cp), query, cp)
+            open_vault(encrypt_vault(params, region(points[2:]), cp), query, cp)
 
     def test_edited_header_decrypts_to_noise(self):
         # Widening the stored epsilon (byte 11) is what would let a jittered
