@@ -45,10 +45,16 @@ errors, so the first nine candidates' interpolant h, or else Gao's algorithm
 on the residual y - h at degree m - 9, recovers the polynomial from m
 candidates with distinct abscissas when at most floor((m - 9) / 2) are chaff.
 A decode is accepted only when the polynomial agrees with at least
-ceil((m + 9) / 2) candidates and its payload passes the CRC.  Within that
-radius the polynomial is unique, so the candidates' order does not matter:
-at epsilon > 0 each candidate closer than d to another goes last, since
-lock units are pruned at d, and the first nine then rarely need Euclid.
+ceil((m + 9) / 2) of all m candidates and its payload passes the CRC.
+Within that radius the polynomial is unique, so the candidates' order does
+not matter.  At epsilon > 0 a maximal set of disjoint pairs closer than d,
+chosen greedily in abscissa order, is dropped before decoding: lock units
+are pruned at d and no chaff lies on the polynomial, so a pair holds at
+most one genuine point, and dropping it costs the enrolled polynomial one
+agreement of the two more the radius would ask.  The decoder runs on the
+conflict-free rest, the core, and counts the dropped points only toward
+the agreement; with fewer than nine left, only a polynomial through both
+points of a pair could pass, so none is sought.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ import sys
 from array import array
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from itertools import compress
+from itertools import chain, compress
 from math import floor, isfinite, isqrt
 from operator import itemgetter, ne, xor
 
@@ -369,27 +375,33 @@ def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return quot, _poly_trim(rem)
 
 
-def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
-    """The degree-at-most-8 polynomial through at least ceil((m + 9) / 2) of
-    the m candidates, as nine coefficients (degree descending), or None.
+def _rs_decode(candidates: Sequence[tuple[int, int]],
+               spare: Sequence[tuple[int, int]] = ()) -> tuple[int, ...] | None:
+    """The degree-at-most-8 polynomial through at least ceil((M + 9) / 2) of
+    the M = m + len(spare) points, as nine coefficients (degree descending),
+    or None when the m candidates do not find it: the ``spare`` points only
+    count toward that agreement.
 
     Abscissas must be pairwise distinct and m at least nine.  Within that
     agreement the polynomial is unique (two distinct ones share at most
     eight points), so the answer does not depend on the candidates' order.
-    The interpolant h of the first nine settles an error-free set without
-    Euclid.  Otherwise Gao's algorithm (2003) decodes the residual y - h,
-    whose interpolant is W * T: W = prod(x - a_i) over the first nine, T
-    through the later (a_j, (y_j - h(a_j)) / W(a_j)).  Euclid on W * P and
-    W * T, P = prod(x - a_j) over the later ones, has the quotients and
-    Bezout coefficients v of Euclid on P and T, at degree m - 9, so it
-    stops at 2 deg r < m - 9 and gives h + W * r / v, of degree at most 8
-    only when deg r < deg v.  At m <= 10 Gao rejects by itself: T is
+    The interpolant h of the first nine settles a set whose errors are all
+    past them without Euclid: the later candidates, then the spare ones,
+    are counted on h until it has the agreement.  Otherwise Gao's algorithm
+    (2003) decodes the residual y - h of the candidates alone, whose
+    interpolant is W * T: W = prod(x - a_i) over the first nine, T through
+    the later (a_j, (y_j - h(a_j)) / W(a_j)).  Euclid on W * P and W * T,
+    P = prod(x - a_j) over the later ones, has the quotients and Bezout
+    coefficients v of Euclid on P and T, at degree m - 9, so it stops at
+    2 deg r < m - 9 and gives h + W * r / v, of degree at most 8 only when
+    deg r < deg v; with spare points, its agreement over all M is counted
+    before it is returned.  At m <= 10 Gao rejects by itself: T is
     constant, so Euclid takes no step and deg r = deg v.
     """
     m = len(candidates)
     coeffs = interpolate(candidates[:N_COEFFS])
     first = [a for a, _ in candidates[:N_COEFFS]]
-    short = (m + N_COEFFS + 1) // 2 - N_COEFFS  # agreements h still lacks
+    short = (m + len(spare) + N_COEFFS + 1) // 2 - N_COEFFS  # agreements h still lacks
     residual = []
     for a, y in candidates[N_COEFFS:]:
         z = y ^ eval_poly(coeffs, a)
@@ -400,6 +412,12 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
             if not short:
                 return coeffs
         residual.append((a, z))
+    if short <= len(spare):  # else h cannot reach the agreement
+        for a, y in spare:
+            if eval_poly(coeffs, a) == y:
+                short -= 1
+                if not short:
+                    return coeffs
     r0 = [1]
     for a, _ in residual:
         _times_linear(r0, a)
@@ -410,8 +428,8 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
         quot, rem = _poly_divmod(r0, r1)
         r0, r1 = r1, rem
         v0, v1 = v1, _poly_addmul(v0, quot, v1)
-    if not r1:  # T = 0, which only m = 9 leaves here: W * r / v = 0
-        return coeffs
+    if not r1:  # T = 0: h is through every candidate, so only spare ones can be short
+        return None if short else coeffs
     if len(r1) >= len(v1):
         return None
     for a in first:
@@ -421,19 +439,33 @@ def _rs_decode(candidates: Sequence[tuple[int, int]]) -> tuple[int, ...] | None:
         return None
     # W * r = v * g and r = v * T modulo P, so g misses the residual only at
     # roots of v, and deg v <= (m - 9) / 2 since the remainder before r had
-    # 2 deg >= m - 9: h + g has the agreement without a recount.
-    return tuple(c ^ d for c, d in zip(coeffs, [0] * (N_COEFFS - len(g)) + g[::-1]))
+    # 2 deg >= m - 9: h + g has the agreement among the candidates without
+    # a recount.
+    coeffs = tuple(c ^ d for c, d in zip(coeffs, [0] * (N_COEFFS - len(g)) + g[::-1]))
+    if spare:
+        agree = sum([eval_poly(coeffs, a) == y for a, y in chain(candidates, spare)])
+        if 2 * agree < m + len(spare) + N_COEFFS:
+            return None
+    return coeffs
 
 
-def _conflicts_last(candidates: list[tuple[int, int]], d: int) -> list[tuple[int, int]]:
-    """The candidates, sorted by abscissa, with each one whose point lies
-    closer than ``d`` to another's moved to the end, both parts in order.
-    A candidate is compared only with the later ones fewer than d << 8
-    abscissas on, which holds every one fewer than d columns on."""
+def _drop_close_pairs(candidates: list[tuple[int, int]],
+                      d: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The candidates, sorted by abscissa, split into a core and the spare
+    pairs: each candidate not yet dropped, in abscissa order, is paired
+    with the first later one not yet dropped whose point lies closer than
+    ``d``, and both are dropped.  The pairs are disjoint and maximal, so no
+    two core candidates are closer than d; the core keeps abscissa order and
+    the spare holds the pairs in the order found.  A candidate is compared
+    only with the later ones fewer than d << 8 abscissas on, which holds
+    every one fewer than d columns on."""
     reach, far = d << 8, d * d
     m = len(candidates)
-    late = set()
+    spare: list[tuple[int, int]] = []
+    dropped = set()
     for j, p in enumerate(candidates, 1):
+        if p in dropped:
+            continue
         a = p[0]
         while j < m:
             o = candidates[j]
@@ -441,10 +473,14 @@ def _conflicts_last(candidates: list[tuple[int, int]], d: int) -> list[tuple[int
             if b - a >= reach:  # and so is every later one
                 break
             dx, dy = (b >> 8) - (a >> 8), (b & 0xFF) - (a & 0xFF)
-            if dx * dx + dy * dy < far:
-                late.update((p, o))
+            if dx * dx + dy * dy < far and o not in dropped:
+                dropped.update((p, o))
+                spare += (p, o)
+                break
             j += 1
-    return sorted(candidates, key=late.__contains__) if late else candidates
+    if not spare:
+        return candidates, spare
+    return [p for p in candidates if p not in dropped], spare
 
 
 def generate_chaff(genuine_us: Sequence[int], poly: Sequence[int], count: int,
@@ -570,8 +606,12 @@ def match_candidates(clear: bytes, query_units: Sequence[int],
     negative, and dropping the first reach rows makes row x one list index.
 
     Raises DomainError unless 0 <= epsilon < inf, 0 <= unit < 65536 and
-    ``clear`` holds whole 4-byte records.
+    ``clear`` is bytes-like and holds whole 4-byte records.
     """
+    try:
+        clear = memoryview(clear).cast("B")
+    except TypeError:
+        raise DomainError(f"clear region must be bytes-like, not {type(clear).__name__}") from None
     if len(clear) % POINT_RECORD.size:
         raise DomainError(f"clear region of {len(clear)} bytes is not whole 4-byte records")
     if not isfinite(epsilon):
@@ -580,7 +620,8 @@ def match_candidates(clear: bytes, query_units: Sequence[int],
         raise DomainError(f"epsilon={epsilon} must be at least 0")
     if query_units and not 0 <= min(query_units) <= max(query_units) < GF_ORDER:
         raise DomainError(f"query units must lie in [0, {GF_ORDER - 1}]")
-    words = array("H", clear)
+    words = array("H")
+    words.frombytes(clear)
     if sys.byteorder == "little":  # the records are big-endian
         words.byteswap()
     abscissas = words[0::2]
@@ -621,11 +662,12 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
     a new :class:`VaultParams` of the vault's r, c and d carries it, and
     checks it like the stored one.  Candidates whose abscissa occurs more
     than once are dropped (a correct key never decrypts two points to one
-    abscissa), and the rest are decoded once as a Reed-Solomon code, at
-    epsilon > 0 with those closer than d to another last: two such cannot
-    both be genuine, and the answer does not depend on the order.  The
-    secret is returned only when the decoded polynomial agrees with at
-    least ceil((m + 9) / 2) of the m candidates and its payload passes the
+    abscissa), and the rest are decoded once as a Reed-Solomon code.  At
+    epsilon > 0, :func:`_drop_close_pairs` first takes out disjoint pairs
+    closer than d, which cannot both be genuine, and :func:`_rs_decode`
+    runs on the rest with them as spare points.  The secret is returned
+    only when the decoded polynomial agrees with at least ceil((m + 9) / 2)
+    of all m candidates, dropped ones included, and its payload passes the
     CRC, so up to floor((m - 9) / 2) matched chaff points are tolerated.
     ``max_combinations`` caps the decode attempts; the decoder makes one,
     so only a cap of 0 or less stops it.
@@ -633,8 +675,8 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
     Raises DomainError for an ``epsilon`` that is not an int in [0, 255], and
     for a query point that is not a pair of ints on the 256x256 grid.
     Raises UnlockError, with a message naming the case, when fewer than nine
-    candidates remain, when the cap allows no attempt, and when the decode
-    or the checksum fails.
+    candidates remain, before or after the close pairs are dropped, when
+    the cap allows no attempt, and when the decode or the checksum fails.
     """
     params = vault.params
     if epsilon is not None:
@@ -652,9 +694,15 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
         )
     if max_combinations <= 0:
         raise UnlockError(f"decode attempts capped at {max_combinations}")
+    core, spare = candidates, []
     if params.epsilon:  # at 0 every candidate is a query unit, pruned at d
-        candidates = _conflicts_last(candidates, params.d)
-    coeffs = _rs_decode(candidates)
+        core, spare = _drop_close_pairs(candidates, params.d)
+        if len(core) < N_COEFFS:
+            raise UnlockError(
+                f"{len(core)} candidate points left after dropping {len(spare)} in pairs "
+                f"closer than d={params.d}, need at least {N_COEFFS}"
+            )
+    coeffs = _rs_decode(core, spare)
     if coeffs is None:
         raise UnlockError(
             f"no polynomial agrees with enough of the {len(candidates)} candidate points"

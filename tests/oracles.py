@@ -190,17 +190,23 @@ def match_candidates_oracle(points, query_units, epsilon):
     return hits
 
 
-def conflicts_last_oracle(candidates, d):
-    """Every pair compared: the candidates with no other closer than ``d``
-    on the grid, then the rest, each part in list order."""
+def drop_close_pairs_oracle(candidates, d):
+    """Every pair compared: in list order, each candidate not yet paired
+    takes the first later one not yet paired that lies closer than ``d`` on
+    the grid.  Returns the unpaired candidates in list order, and the pairs
+    one after another in the order found."""
     def near(p, q):
         dx, dy = p[0] // 256 - q[0] // 256, p[0] % 256 - q[0] % 256
         return dx * dx + dy * dy < d * d
 
-    late = [any(i != j and near(p, q) for j, q in enumerate(candidates))
-            for i, p in enumerate(candidates)]
-    return ([p for p, bad in zip(candidates, late) if not bad]
-            + [p for p, bad in zip(candidates, late) if bad])
+    paired = [False] * len(candidates)
+    pairs = []
+    for i, p in enumerate(candidates):
+        for j, q in enumerate(candidates):
+            if j > i and not paired[i] and not paired[j] and near(p, q):
+                paired[i] = paired[j] = True
+                pairs += [p, q]
+    return [p for p, gone in zip(candidates, paired) if not gone], pairs
 
 
 def prune_close_oracle(points, min_dist):

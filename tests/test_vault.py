@@ -7,6 +7,7 @@ import random
 import struct
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from irisvault.vault import (
     Vault,
     VaultParams,
     _LANES_MIN,
-    _conflicts_last,
+    _drop_close_pairs,
     _eval_poly_many,
     _rs_decode,
     _scramble,
@@ -43,7 +44,7 @@ from irisvault.vault import (
 )
 
 from oracles import (
-    conflicts_last_oracle,
+    drop_close_pairs_oracle,
     eval_poly_oracle,
     generate_chaff_oracle,
     lock_units_oracle,
@@ -51,7 +52,7 @@ from oracles import (
     root_product_oracle,
     rs_decode_oracle,
 )
-from portability_check import decoder_digest
+from portability_check import core_decode, decoder_digest
 from vectors import FUZZY, TOKEN
 
 coeff_tuples = st.tuples(*[st.integers(0, 0xFFFF)] * 9)
@@ -658,7 +659,8 @@ class TestMatchCandidates:
         seen = []
         decode = _rs_decode
         monkeypatch.setattr("irisvault.vault._rs_decode",
-                            lambda candidates: seen.append(list(candidates)) or decode(candidates))
+                            lambda candidates, spare: seen.append(list(candidates))
+                            or decode(candidates, spare))
         vault = encrypt_vault(VaultParams(r=12, c=0, d=0, epsilon=0), clear, cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
         assert open_vault(vault, query, cp) == SECRET
@@ -688,6 +690,21 @@ class TestMatchCandidates:
         with pytest.raises(DomainError, match=rf"^clear region of {size} bytes "
                                               r"is not whole 4-byte records$"):
             match_candidates(clear, [unit(3, 3)], epsilon)
+
+    @pytest.mark.parametrize("clear", [[0x0305, 7, 0x0102, 9], (0x0305, 7, 0x0102, 9), "\x03\x05\x00\x07"])
+    def test_domain_clear_not_bytes_like(self, clear):
+        # Words in a list or tuple were once read as the region's words, and
+        # matched the wrong points without an error.
+        with pytest.raises(DomainError, match=rf"^clear region must be bytes-like, "
+                                              rf"not {type(clear).__name__}$"):
+            match_candidates(clear, [unit(3, 5)], 0)
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview, lambda b: array("I", b)])
+    def test_any_bytes_like_region(self, wrap):
+        # The region is read as bytes whatever its item size.
+        clear = region([(unit(3, 5), 7), (unit(1, 2), 9)])
+        assert match_candidates(wrap(clear), [unit(3, 5)], 0) == [(unit(3, 5), 7)]
+        assert match_candidates(wrap(clear), [unit(3, 4)], 1) == [(unit(3, 5), 7)]
 
 
 def corrupt(points, where, deltas):
@@ -758,8 +775,8 @@ class TestRsDecode:
             assert sum(eval_poly_oracle(got, x) == y for x, y in points) >= need
 
     def test_golden_decodes_in_both_orders(self):
-        # The answers on the 400 fixed candidate sets, as drawn and in
-        # open_vault's conflicts-last order, hash to GOLDEN_DECODES.
+        # The answers on the 400 fixed candidate sets, as drawn and sorted,
+        # hash to GOLDEN_DECODES, and the core decode's to GOLDEN_CORE_DECODES.
         assert decoder_digest(400)
 
     @given(st.lists(st.one_of(st.just(0), st.integers(0, 0xFFFF)), min_size=1, max_size=60,
@@ -807,17 +824,106 @@ class TestRsDecode:
         for bad in (0, 3, 9):
             assert _rs_decode(corrupt(points, [bad], [1])) is None
 
+    @pytest.mark.parametrize("on_curve, expect", [(2, True), (1, False)])
+    def test_spare_points_count_on_the_nine_point_path(self, on_curve, expect):
+        # Ten candidates on the polynomial and four spare, of M = 14 that
+        # need 12 agreements: h has ten, so two spare must be on it.  With
+        # one, h goes through every candidate and Gao has nothing to fix.
+        coeffs = (7, 0, 0, 0, 0, 0, 0, 1, 0x1234)
+        points = [(x, eval_poly_oracle(coeffs, x)) for x in range(1, 15)]
+        spare = corrupt(points[10:], range(4 - on_curve), [1] * 4)
+        assert _rs_decode(points[:10], spare) == (coeffs if expect else None)
+        assert _rs_decode(points[:10] + spare) == (coeffs if expect else None)
+
+    @pytest.mark.parametrize("on_curve, expect", [(1, True), (0, False)])
+    def test_spare_points_checked_after_euclid(self, on_curve, expect):
+        # Fifteen candidates with two errors among the first nine, so only
+        # Euclid finds the polynomial, with 13 agreements; M = 19 needs 14,
+        # so one of the four spare points must be on it.
+        coeffs = (7, 0, 0, 0, 0, 0, 0, 1, 0x1234)
+        points = [(x, eval_poly_oracle(coeffs, x)) for x in range(1, 20)]
+        candidates = corrupt(points[:15], (2, 5), (1, 1))
+        spare = corrupt(points[15:], range(4 - on_curve), [1] * 4)
+        assert _rs_decode(candidates) == coeffs
+        assert _rs_decode(candidates, spare) == (coeffs if expect else None)
+        assert _rs_decode(candidates + spare) == (coeffs if expect else None)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_spare_decode_is_the_all_candidates_answer_or_none(self, data):
+        # The spare points only count, so the decode finds nothing the rule
+        # over all M would reject, and it finds that rule's polynomial
+        # whenever it agrees with ceil((m + 9) / 2) of the m candidates.
+        points = data.draw(candidate_sets(max_m=40))
+        split = data.draw(st.integers(9, len(points)))
+        candidates, spare = points[:split], points[split:]
+        every = _rs_decode(points)
+        got = _rs_decode(candidates, spare)
+        assert got is None or got == every
+        if every is not None:
+            agree = sum(eval_poly_oracle(every, x) == y for x, y in candidates)
+            if 2 * agree >= len(candidates) + 9:
+                assert got == every
+
+
+@st.composite
+def pruned_candidates(draw):
+    """A polynomial, d, and the sorted candidates of a vault whose genuine
+    units lie pairwise at least d apart, as pruning leaves them: genuine
+    points, then chaff off the polynomial, some of it within d of a genuine
+    point, with every abscissa distinct."""
+    coeffs = draw(coeff_tuples)
+    d = draw(st.integers(1, 8))
+    units = draw(st.lists(grid_units, min_size=9, max_size=24, unique=True))
+    kept = prune_close([MinutiaPoint(u >> 8, u & 0xFF) for u in units], d)
+    genuine = [unit(*p) for p in kept]
+    near = st.sampled_from(genuine).flatmap(lambda g: st.tuples(
+        st.just(g), st.integers(-d + 1, d - 1), st.integers(-d + 1, d - 1)))
+    offsets = draw(st.lists(near, max_size=8))
+    chaff = []
+    for g, dx, dy in offsets:
+        x, y = (g >> 8) + dx, (g & 0xFF) + dy
+        if 0 <= x < 256 and 0 <= y < 256 and dx * dx + dy * dy < d * d:
+            chaff.append(unit(x, y))
+    chaff += draw(st.lists(grid_units, max_size=8))
+    points = {a: eval_poly_oracle(coeffs, a) for a in genuine}
+    for a in chaff:
+        if a not in points:
+            points[a] = eval_poly_oracle(coeffs, a) ^ draw(st.integers(1, 0xFFFF))
+    return coeffs, d, sorted(points.items())
+
 
 class TestConflictsLast:
+    """Conflicts last: the close pairs open_vault drops from the core at
+    epsilon > 0, whose points the decoder counts only after the core's."""
+
     def test_conflict_free_list_comes_back_unchanged(self):
         points = [(unit(x, (7 * x) % 256), x) for x in range(0, 250, 10)]
-        assert _conflicts_last(points, 4) == points
+        assert _drop_close_pairs(points, 4) == (points, [])
 
     def test_close_pair_goes_last_in_abscissa_order(self):
         # (30, 50) and (31, 52) lie sqrt(5) apart, closer than 4.
         points = [(unit(10, 10), 1), (unit(30, 50), 2), (unit(31, 52), 3),
                   (unit(60, 0), 4), (unit(90, 9), 5)]
-        assert _conflicts_last(points, 4) == [points[i] for i in (0, 3, 4, 1, 2)]
+        assert _drop_close_pairs(points, 4) == ([points[i] for i in (0, 3, 4)],
+                                                [points[1], points[2]])
+
+    def test_chain_of_three_keeps_the_third(self):
+        # (40, 40), (41, 41), (42, 42): the first pairs with the second, and
+        # the third, close only to the second, stays in the core.  Of the
+        # four in a row, the pairs are the first two and the last two.
+        chain3 = [(unit(40 + i, 40 + i), i) for i in range(3)]
+        assert _drop_close_pairs(chain3, 2) == (chain3[2:], chain3[:2])
+        chain4 = [(unit(40 + 2 * i, 40), i) for i in range(4)]
+        assert _drop_close_pairs(chain4, 3) == ([], chain4)
+
+    def test_pairs_with_the_first_close_candidate_not_yet_dropped(self):
+        # (10, 54) is 4 from (10, 50), not closer than 3, but close to
+        # (11, 52), which (10, 50) takes first, and to (11, 56), which it
+        # takes instead; (90, 90) is far from all.
+        points = [(unit(x, y), i) for i, (x, y) in
+                  enumerate([(10, 50), (10, 54), (11, 52), (11, 56), (90, 90)])]
+        assert _drop_close_pairs(points, 3) == ([points[4]], [points[i] for i in (0, 2, 1, 3)])
 
     # Each list holds a point far from the rest, which would move ahead of
     # them if they moved.
@@ -832,31 +938,50 @@ class TestConflictsLast:
     ])
     def test_pair_exactly_d_apart_stays(self, points, d):
         points = [(unit(x, y), i) for i, (x, y) in enumerate(points)]
-        assert _conflicts_last(points, d) == points
+        assert _drop_close_pairs(points, d) == (points, [])
 
     def test_zero_moves_nothing(self):
         # Neighbouring cells: at d = 0 and 1 no pair is closer than d, at 2
         # the diagonal one is.
         points = [(unit(5, 5), 1), (unit(5, 6), 2), (unit(6, 5), 3), (unit(6, 6), 4)]
-        assert _conflicts_last(points, 0) == points
-        assert _conflicts_last(points, 1) == points
-        assert _conflicts_last([points[0], points[3], (unit(9, 0), 5)], 2)[-1] == points[3]
+        assert _drop_close_pairs(points, 0) == (points, [])
+        assert _drop_close_pairs(points, 1) == (points, [])
+        far = (unit(9, 0), 5)
+        assert _drop_close_pairs([points[0], points[3], far], 2) == ([far], [points[0], points[3]])
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_permutation_with_the_same_decode(self, data):
+    def test_agrees_with_brute_force_oracle(self, data):
         points = sorted(data.draw(candidate_sets(max_m=60)))
+        if data.draw(st.booleans()):  # crowded into four grid columns
+            points = sorted({a & 0x3FF: b for a, b in points}.items())
         d = data.draw(st.integers(0, 16))
-        got = _conflicts_last(points, d)
-        assert got == conflicts_last_oracle(points, d)
-        assert sorted(got) == points
-        assert _rs_decode(got) == _rs_decode(points)
+        core, spare = _drop_close_pairs(points, d)
+        assert (core, spare) == drop_close_pairs_oracle(points, d)
+        assert sorted(core + spare) == points and core == sorted(core)
+
+        def close(p, q):
+            return ((p[0] >> 8) - (q[0] >> 8)) ** 2 + ((p[0] & 0xFF) - (q[0] & 0xFF)) ** 2 < d * d
+
+        assert all(close(p, q) for p, q in zip(spare[0::2], spare[1::2]))
+        assert not any(close(p, q) for i, p in enumerate(core) for q in core[i + 1:])
+
+    @given(pruned_candidates())
+    @settings(max_examples=200, deadline=None)
+    def test_core_decode_finds_the_enrolled_polynomial_as_all_candidates_do(self, case):
+        # A close pair holds at most one genuine point, so dropping it costs
+        # the polynomial one agreement of the two the rule over all needs.
+        coeffs, d, points = case
+        every = _rs_decode(points) if len(points) >= 9 else None
+        got = core_decode(points, d)
+        assert (got == coeffs) == (every == coeffs)
+        assert got is None or got == every
 
     def test_open_vault_decodes_conflict_free_candidates_first(self, monkeypatch):
         # Twelve lock units far apart and one chaff point a pixel off the
-        # third, so the chaff's abscissa lies below the ninth unit's and
-        # matches at epsilon 2.  The chaff and that unit go last, and the
-        # first nine candidates the decoder sees are all genuine.
+        # third, which matches at epsilon 2.  The chaff and that unit are
+        # dropped as a pair: the decoder sees the other eleven units as its
+        # candidates and the pair, in abscissa order, as spare points.
         cp = CombinedPassword(bytes(8))
         poly = encode_secret(append_crc(mask_secret(SECRET, cp)))
         units = [unit(20 * i + 5, (40 * i + 7) % 256) for i in range(12)]
@@ -867,13 +992,29 @@ class TestConflictsLast:
         seen = []
         decode = _rs_decode
         monkeypatch.setattr("irisvault.vault._rs_decode",
-                            lambda candidates: seen.append(list(candidates)) or decode(candidates))
+                            lambda candidates, spare: seen.append((candidates, spare))
+                            or decode(candidates, spare))
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in units]
         assert open_vault(vault, query, cp) == SECRET
-        [candidates] = seen
-        assert sorted(candidates) == sorted(genuine + [chaff])
-        assert set(candidates[:9]) <= set(genuine)
-        assert candidates[-2:] == [genuine[2], chaff]
+        [(candidates, spare)] = seen
+        assert candidates == genuine[:2] + genuine[3:]
+        assert spare == [genuine[2], chaff]
+
+    def test_too_few_left_once_pairs_are_dropped(self):
+        # Nine units far apart and chaff a pixel off two of them: eleven
+        # candidates, five left once the two pairs go.  No polynomial
+        # through both points of a pair is wanted, so the decode stops
+        # before nine points are interpolated into fewer coefficients.
+        cp = CombinedPassword(bytes(8))
+        poly = encode_secret(append_crc(mask_secret(SECRET, cp)))
+        units = [unit(20 * i + 5, (40 * i + 7) % 256) for i in range(9)]
+        points = [(a, eval_poly(poly, a)) for a in units]
+        points += [(a + 1, eval_poly(poly, a + 1) ^ 1) for a in units[:2]]
+        vault = encrypt_vault(VaultParams(r=9, c=2, d=4, epsilon=2), region(points), cp)
+        query = [MinutiaPoint(a >> 8, a & 0xFF) for a in units]
+        with pytest.raises(UnlockError, match=r"^7 candidate points left after dropping 4 in "
+                                              r"pairs closer than d=4, need at least 9$"):
+            open_vault(vault, query, cp)
 
 
 class TestOpenVault:
