@@ -22,9 +22,8 @@ from .password import (
     derive_blocks,
 )
 from .transform import quadrant_of, transform_template
-from .vault import (DEFAULT_CHAFF_FACTOR, DEFAULT_GENUINE, DEFAULT_MAX_COMBINATIONS,
-                    DEFAULT_PRUNE_DIST, POLY_DEGREE, VaultParams, build_vault, open_vault,
-                    read_vault, write_vault)
+from .vault import (DEFAULT_CHAFF_FACTOR, DEFAULT_GENUINE, DEFAULT_PRUNE_DIST, POLY_DEGREE,
+                    VaultParams, build_vault, open_vault, read_vault, write_vault)
 
 QUADRANT_NAMES = ("I", "II", "III", "IV")
 
@@ -45,9 +44,9 @@ def _password_from_args(args: argparse.Namespace) -> CombinedPassword:
     return combine_password(soft, UserPassword(args.password))
 
 
-def _params_from_args(args: argparse.Namespace) -> VaultParams:
-    c = args.c if args.c is not None else DEFAULT_CHAFF_FACTOR * args.r
-    return VaultParams(r=args.r, c=c, d=args.d, epsilon=args.epsilon)
+def _chaff_from_args(args: argparse.Namespace) -> int:
+    """--c, or DEFAULT_CHAFF_FACTOR * r when it is not given: enroll and analyze alike."""
+    return args.c if args.c is not None else DEFAULT_CHAFF_FACTOR * args.r
 
 
 def _read_template(path: str):
@@ -61,7 +60,7 @@ def _read_template(path: str):
 
 def cmd_enroll(args: argparse.Namespace) -> int:
     cp = _password_from_args(args)
-    params = _params_from_args(args)
+    params = VaultParams(args.r, _chaff_from_args(args), args.d, args.epsilon)
     points = _read_template(args.template)
     rng = random.Random(args.seed)
     if args.secret is not None:
@@ -86,8 +85,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with open(args.vault, "rb") as f:
         vault = read_vault(f.read())
     points = _read_template(args.template)
-    secret = open_vault(vault, points, cp, epsilon=args.epsilon,
-                        max_combinations=args.max_combinations)
+    secret = open_vault(vault, points, cp, epsilon=args.epsilon)
     print(secret.hex())
     return 0
 
@@ -105,7 +103,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    report = security.analyze(args.r, args.c, args.n)
+    report = security.analyze(args.r, _chaff_from_args(args), args.n)
     lo, hi = report.hardened_range_rounded
     print(f"genuine points (r): {report.r}")
     print(f"chaff points (c): {report.c}")
@@ -156,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--vault", required=True, help="vault file")
     verify.add_argument("--epsilon", type=int, default=None,
                         help="override the vault's stored match tolerance")
-    verify.add_argument("--max-combinations", type=int, default=DEFAULT_MAX_COMBINATIONS,
-                        help="cap on decode attempts; one decode is made, so only "
-                             "0 or less gives up without decoding")
     _add_password_flags(verify)
     verify.set_defaults(func=cmd_verify)
 
@@ -170,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="report vault min-entropy")
     analyze.add_argument("--r", type=int, default=DEFAULT_GENUINE, help="genuine point count")
-    analyze.add_argument("--c", type=int, default=DEFAULT_CHAFF_FACTOR * DEFAULT_GENUINE,
-                         help="chaff point count")
+    analyze.add_argument("--c", type=int, default=None,
+                         help=f"chaff point count (default {DEFAULT_CHAFF_FACTOR}*r)")
     analyze.add_argument("--n", type=int, default=POLY_DEGREE, help="polynomial degree")
     analyze.set_defaults(func=cmd_analyze)
 

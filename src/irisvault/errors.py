@@ -25,3 +25,11 @@ class UnlockError(IrisVaultError):
     """A vault decode came up empty: too few candidates matched, the decode
     cap allowed no attempt, or no polynomial passed the agreement and
     checksum tests."""
+
+
+def check_int(name: str, value: object, lo: int, hi: int) -> None:
+    """DomainError naming ``name`` unless ``value`` is an int, not a bool, in [lo, hi]."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an int, not {type(value).__name__}")
+    if not lo <= value <= hi:
+        raise DomainError(f"{name}={value} must be in [{lo}, {hi}]")

@@ -38,23 +38,23 @@ gathered with one itemgetter call and xored in as packed 16-bit lanes.
 log[0] is only a placeholder, so lanes with x = 0 are set to c0 at the end.
 
 Decoding reverses the path: decrypt, transform the query with the same
-password, match its lock units against the vault (within epsilon, in a row
-bitmask table padded by the disc's reach), and decode the candidates as a
-Reed-Solomon code.  Genuine points are codeword symbols and matched chaff are
-errors, so the first nine candidates' interpolant h, or else Gao's algorithm
-on the residual y - h at degree m - 9, recovers the polynomial from m
-candidates with distinct abscissas when at most floor((m - 9) / 2) are chaff.
-A decode is accepted only when the polynomial agrees with at least
-ceil((m + 9) / 2) of all m candidates and its payload passes the CRC.
-Within that radius the polynomial is unique, so the candidates' order does
-not matter.  At epsilon > 0 a maximal set of disjoint pairs closer than d,
-chosen greedily in abscissa order, is dropped before decoding: lock units
-are pruned at d and no chaff lies on the polynomial, so a pair holds at
-most one genuine point, and dropping it costs the enrolled polynomial one
-agreement of the two more the radius would ask.  The decoder runs on the
-conflict-free rest, the core, and counts the dropped points only toward
-the agreement; with fewer than nine left, only a polynomial through both
-points of a pair could pass, so none is sought.
+password, match its lock units against the vault (within epsilon, a header
+byte, in a row bitmask table padded by epsilon), and decode the candidates as
+a Reed-Solomon code.  Genuine points are codeword symbols and matched chaff
+are errors, so the first nine candidates' interpolant h, or else Gao's
+algorithm on the residual y - h at degree m - 9, recovers the polynomial from
+m candidates with distinct abscissas when at most floor((m - 9) / 2) are
+chaff.  A decode is accepted only when the polynomial agrees with at least
+ceil((m + 9) / 2) of all m candidates and its payload passes the CRC.  Within
+that radius the polynomial is unique, so the candidates' order does not
+matter.  At epsilon > 0 a maximal set of disjoint pairs closer than d, chosen
+greedily in abscissa order, is dropped before decoding: lock units are pruned
+at d and no chaff lies on the polynomial, so a pair holds at most one genuine
+point, and dropping it costs the enrolled polynomial one agreement of the two
+more the radius would ask.  The decoder runs on the conflict-free rest, the
+core, and counts the dropped points only toward the agreement; with fewer than
+nine left, only a polynomial through both points of a pair could pass, so none
+is sought.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ from array import array
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from itertools import chain, compress
-from math import floor, isfinite, isqrt
+from math import isqrt
 from operator import itemgetter, ne, xor
 
-from .errors import DomainError, UnlockError
+from .errors import DomainError, UnlockError, check_int
 from .fields import (
     _GF_EXP,
     _GF_LOG,
@@ -120,10 +120,7 @@ class VaultParams(namedtuple("VaultParams", "r c d epsilon")):
                 d: int = DEFAULT_PRUNE_DIST, epsilon: int = 0) -> VaultParams:
         fields = (r, c, d, epsilon)
         for (name, lo, hi), value in zip(_PARAM_RANGES, fields):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an int, not {type(value).__name__}")
-            if not lo <= value <= hi:
-                raise DomainError(f"{name}={value} must be in [{lo}, {hi}]")
+            check_int(name, value, lo, hi)
         if r + c > GF_ORDER:
             raise DomainError(f"r + c = {r + c} points exceed the {GF_ORDER} distinct abscissas")
         return tuple.__new__(cls, fields)  # as the namedtuple's own __new__ does
@@ -196,15 +193,9 @@ def read_vault(data: bytes) -> Vault:
 def _template_units(template: Template, cp: CombinedPassword, params: VaultParams) -> list[int]:
     """The first r of the sorted, deduplicated 16-bit lock units (x << 8) | y
     of the password-transformed template pruned at d, for enrolment and
-    verification alike; fewer when the template yields fewer.  DomainError
-    for a raw point that is not a pair of ints on the 256x256 grid, since
-    the quadrant wrap would fold it back onto the grid; transformed points
-    need no check."""
-    for x, y in template:
-        if type(x) is not int or type(y) is not int:
-            raise DomainError(f"point ({x!r}, {y!r}) must have int coordinates")
-        if not (0 <= x < GRID_SIZE and 0 <= y < GRID_SIZE):
-            raise DomainError(f"point ({x}, {y}) outside the {GRID_SIZE}x{GRID_SIZE} grid")
+    verification alike; fewer when the template yields fewer.
+    :func:`transform_template` raises DomainError for a raw point that is
+    not a pair of ints on the 256x256 grid."""
     ready = prune_close(transform_template(template, derive_blocks(cp)), params.d)
     return sorted({(x << 8) | y for x, y in ready})[:params.r]
 
@@ -221,13 +212,18 @@ def encode_secret(payload: bytes) -> tuple[int, ...]:
 
 
 def decode_secret(coeffs: Sequence[int]) -> bytes:
-    """Inverse of :func:`encode_secret`."""
-    return _COEFFS.pack(*coeffs)
+    """Inverse of :func:`encode_secret`; DomainError unless nine ints in [0, 65535]."""
+    try:
+        return _COEFFS.pack(*coeffs)
+    except struct.error as exc:
+        raise DomainError(f"cannot pack {N_COEFFS} 16-bit coefficients: {exc}") from None
 
 
 def eval_poly(coeffs: Sequence[int], u: int) -> int:
     """Evaluate the polynomial (coefficients highest degree first) at ``u``
-    by Horner's rule on the log/antilog tables."""
+    in [0, 65535] by Horner's rule on the log/antilog tables, or DomainError."""
+    if u >> 16:  # below 0 as well as above 65535
+        raise DomainError(f"abscissa {u} must be in [0, {GF_ORDER - 1}]")
     if not u:
         return coeffs[-1] if coeffs else 0
     exp, log = _GF_EXP, _GF_LOG
@@ -311,11 +307,13 @@ def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     nine points, the form :func:`encode_secret` returns.
 
     Newton's divided differences, then expansion of the nested form.
-    Abscissas must be pairwise distinct.
+    Abscissas must be pairwise distinct and in [0, 65535].
     """
     xs = [p[0] for p in points]
     if len(set(xs)) != len(xs):
         raise DomainError("interpolation abscissas must be pairwise distinct")
+    if xs and not 0 <= min(xs) <= max(xs) < GF_ORDER:
+        raise DomainError(f"interpolation abscissas must lie in [0, {GF_ORDER - 1}]")
     exp, log = _GF_EXP, _GF_LOG
     dd = [p[1] for p in points]  # becomes f[x0], f[x0, x1], ..., f[x0..x(n-1)]
     for j in range(1, len(dd)):
@@ -594,19 +592,20 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
 
 
 def match_candidates(clear: bytes, query_units: Sequence[int],
-                     epsilon: float) -> list[tuple[int, int]]:
+                     epsilon: int) -> list[tuple[int, int]]:
     """The points of the clear region ``clear`` (see :func:`decrypt_vault`),
     read as one ``array('H')`` of words a0, b0, a1, b1, ..., whose decoded
     (x, y) = (a >> 8, a & 0xFF) lie within ``epsilon`` of a query unit's
     decoded point, as ``(a, b)`` tuples sorted stably by ascending abscissa alone.
 
     epsilon 0 degenerates to exact unit equality.  Otherwise discs are ORed
-    into a padded table of row bitmasks: with reach = isqrt(floor(epsilon^2))
-    cut at 255, (x, y) is bit y + reach of row x + reach, so no shift is
-    negative, and dropping the first reach rows makes row x one list index.
+    into a padded table of row bitmasks: (x, y) is bit y + epsilon of row
+    x + epsilon, so no shift is negative, and dropping the first epsilon
+    rows makes row x one list index.
 
-    Raises DomainError unless 0 <= epsilon < inf, 0 <= unit < 65536 and
-    ``clear`` is bytes-like and holds whole 4-byte records.
+    Raises DomainError unless epsilon is an int, not a bool, in [0, 255],
+    the range of the vault header's byte, each query unit is an int in
+    [0, 65535], and ``clear`` is bytes-like and holds whole 4-byte records.
     """
     try:
         clear = memoryview(clear).cast("B")
@@ -614,10 +613,7 @@ def match_candidates(clear: bytes, query_units: Sequence[int],
         raise DomainError(f"clear region must be bytes-like, not {type(clear).__name__}") from None
     if len(clear) % POINT_RECORD.size:
         raise DomainError(f"clear region of {len(clear)} bytes is not whole 4-byte records")
-    if not isfinite(epsilon):
-        raise DomainError(f"epsilon={epsilon} is not finite")
-    if epsilon < 0:
-        raise DomainError(f"epsilon={epsilon} must be at least 0")
+    check_int("epsilon", epsilon, 0, 0xFF)
     if query_units and not 0 <= min(query_units) <= max(query_units) < GF_ORDER:
         raise DomainError(f"query units must lie in [0, {GF_ORDER - 1}]")
     words = array("H")
@@ -628,24 +624,22 @@ def match_candidates(clear: bytes, query_units: Sequence[int],
     if epsilon == 0:
         picked = compress(range(len(abscissas)), map(set(query_units).__contains__, abscissas))
     else:
-        # dx^2 + dy^2 <= epsilon^2 holds for integers iff it holds against
-        # the floor of epsilon^2, capped past the grid's diagonal squared.
-        limit = floor(min(epsilon * epsilon, 2 * GRID_SIZE * GRID_SIZE))
-        reach = min(isqrt(limit), GRID_SIZE - 1)
-        # Row qx + dx of a disc holds y in [qy - half, qy + half], half cut at
-        # reach, so at 255: 2 * half + 1 one bits at reach - half, shifted by qy.
-        spans = []
-        for dx in range(-reach, reach + 1):
+        # Row qx + dx of a disc holds y in [qy - half, qy + half], half at
+        # most epsilon: 2 * half + 1 one bits at epsilon - half, shifted by qy.
+        spans, limit = [], epsilon * epsilon
+        for dx in range(-epsilon, epsilon + 1):
             half = isqrt(limit - dx * dx)
-            half = half if half < reach else reach  # min() costs more here
-            spans.append((reach + dx, ((1 << (2 * half + 1)) - 1) << (reach - half)))
-        rows = [0] * (GRID_SIZE + 2 * reach)
-        for u in query_units:
-            qx, qy = u >> 8, u & 0xFF
-            for x, span in spans:
-                rows[qx + x] |= span << qy
-        del rows[:reach]
-        bit = 1 << reach
+            spans.append((epsilon + dx, ((1 << (2 * half + 1)) - 1) << (epsilon - half)))
+        rows = [0] * (GRID_SIZE + 2 * epsilon)
+        try:
+            for u in query_units:
+                qx, qy = u >> 8, u & 0xFF
+                for x, span in spans:
+                    rows[qx + x] |= span << qy
+        except TypeError:
+            raise DomainError(f"query unit {u!r} must be an int, not {type(u).__name__}") from None
+        del rows[:epsilon]
+        bit = 1 << epsilon
         picked = [i for i, a in enumerate(abscissas) if rows[a >> 8] >> (a & 0xFF) & bit]
     hits = [(words[2 * i], words[2 * i + 1]) for i in picked]
     hits.sort(key=itemgetter(0))

@@ -12,7 +12,7 @@ words, and checks that the all-zero secret comes back.  It compares the
 lane kernel, the chaff draw and the scramble with their references, and
 hashes the Reed-Solomon decoder's answers on a fixed mix of candidate sets,
 as drawn, sorted, and on the core open_vault decodes once close pairs are
-dropped, without pytest or Hypothesis.  Run it from the repository root under each
+dropped at d = 4 and at d = 2, without pytest or Hypothesis.  Run it from the repository root under each
 interpreter to check:
 
     PYTHONPATH=src python tests/portability_check.py
@@ -74,8 +74,10 @@ def golden_digests() -> bool:
 # SHA-256 of _rs_decode's answers on decoder_cases(400), as computed when Gao's
 # algorithm still ran on all m candidates: the residual form must not move one.
 GOLDEN_DECODES = "2fc1c9ae9721e7b1d639ca7239d8ba6b4e946f7b024dc6f7b092d84783140ada"
-# The same over core_decode at d = 4, the decode open_vault makes at epsilon > 0.
+# The same over core_decode at d = 4, the decode open_vault makes at epsilon > 0,
+# and at d = 2, where 113 of the sets decode with spare points, against 60 at 4.
 GOLDEN_CORE_DECODES = "97bf2fa8cfcad7c1cd0a5be6ff8b069b7ea737b12d82f3dec5ff5e13b29ad84e"
+GOLDEN_CORE_DECODES_D2 = "36614a084e31de3acbd4f93e646e6b3992b2463ee0e8a600382e5a53fed90dec"
 
 
 def decoder_cases(count: int):
@@ -106,13 +108,16 @@ def core_decode(points, d: int):
 
 def decoder_digest(count: int) -> bool:
     """The digest of the answers on the cases as drawn and sorted, which
-    must not depend on the order, and of the core decode at d = 4: the
-    small-abscissa sets, all in grid column 0, mostly lose pairs."""
+    must not depend on the order, and of the core decode at d = 4, where
+    the small-abscissa sets, all in grid column 0, mostly keep fewer than
+    nine, and at d = 2, where more of them reach the spare path."""
     ok = True
     for label, decode, expect in (
             ("decoder", _rs_decode, GOLDEN_DECODES),
             ("decoder, sorted", lambda p: _rs_decode(sorted(p)), GOLDEN_DECODES),
-            ("decoder, close pairs dropped", lambda p: core_decode(p, 4), GOLDEN_CORE_DECODES)):
+            ("decoder, close pairs dropped", lambda p: core_decode(p, 4), GOLDEN_CORE_DECODES),
+            ("decoder, close pairs dropped at d = 2", lambda p: core_decode(p, 2),
+             GOLDEN_CORE_DECODES_D2)):
         digest = hashlib.sha256()
         for points in decoder_cases(count):
             coeffs = decode(points)

@@ -144,6 +144,15 @@ class TestEnrollVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: line 1") and captured.err.count("\n") == 1
 
+    def test_max_combinations_flag_is_gone(self, workspace, capsys):
+        # It only refused to decode at 0 or less; the decoder makes one attempt.
+        template, vault = workspace
+        assert enroll(template, vault) == 0
+        with pytest.raises(SystemExit) as exc:
+            verify(template, vault, ["--max-combinations", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-combinations 1" in capsys.readouterr().err
+
     def test_custom_shape(self, workspace, capsys):
         template, vault = workspace
         assert enroll(template, vault, ["--r", "15"]) == 0
@@ -178,8 +187,7 @@ class TestDecoderRegressions:
         # Under this wrong password two decrypted candidates share an
         # abscissa; interpolating through both divided by zero (exit 2).
         template, vault, _ = self.enrolled(tmp_path, capsys, 39)
-        assert self.verify_as(template, vault, 'FUZZ"',
-                              ["--max-combinations", "20000"]) == 1
+        assert self.verify_as(template, vault, 'FUZZ"') == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "multiplicative inverse" not in captured.err
@@ -248,6 +256,12 @@ class TestAnalyze:
         assert got["total combinations"] == "2818651865383860"
         assert got["hardened range (bits)"] == "52 to 64"
         assert abs(float(got["min-entropy (bits)"]) - 34) <= 0.5
+
+    def test_chaff_defaults_to_ten_per_genuine_point(self, capsys):
+        # As enroll does: --r 30 alone is the 330-point vault enroll writes.
+        got = self.report(capsys, "--r", "30")
+        assert (got["chaff points (c)"], got["total points (t)"]) == ("300", "330")
+        assert self.report(capsys, "--r", "30", "--c", "200")["chaff points (c)"] == "200"
 
     def test_no_chaff(self, capsys):
         got = self.report(capsys, "--c", "0")
@@ -434,7 +448,6 @@ FLAG_POOLS = {
         "--template": TEMPLATE_POOL,
         "--vault": (["vault.bin"], ["garbage.bin", "missing.bin", "."]),
         "--epsilon": (["0", "2", "255"], ["256", "-1", "x"]),
-        "--max-combinations": (["1", "2000000"], ["0", "-5", "x"]),
     },
     "transform": {"--template": TEMPLATE_POOL},
     "analyze": {

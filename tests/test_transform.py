@@ -1,7 +1,9 @@
 """Quadrant translation and pruning tests."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from irisvault.errors import DomainError
 from irisvault.password import CombinedPassword, TranslationBlock, derive_blocks
 from irisvault.transform import MinutiaPoint, prune_close, quadrant_of, transform_template
 
@@ -11,6 +13,8 @@ from vectors import FUZZY, KNOWN_TRANSFORMS, PASSWORDS, REFERENCE_POINTS
 points = st.builds(MinutiaPoint, st.integers(0, 255), st.integers(0, 255))
 blocks = st.builds(TranslationBlock, st.integers(0, 127), st.integers(0, 511))
 crowded = st.one_of(st.integers(0, 11), st.integers(0, 255))
+# Pruning distances are header bytes: ints in [0, 255], mostly small.
+distances = st.one_of(st.integers(0, 12), st.integers(0, 255))
 
 
 def test_quadrant_of_reference_points():
@@ -89,14 +93,14 @@ class TestPruneClose:
         template = [MinutiaPoint(0, 0), MinutiaPoint(3, 4), MinutiaPoint(6, 8)]
         assert prune_close(template, 6) == [MinutiaPoint(0, 0), MinutiaPoint(6, 8)]
 
-    @given(st.lists(points, max_size=50), st.floats(0, 50))
+    @given(st.lists(points, max_size=50), distances)
     def test_output_satisfies_spacing(self, template, min_dist):
         kept = prune_close(template, min_dist)
         for i, p in enumerate(kept):
             for q in kept[:i]:
                 assert (p.x - q.x) ** 2 + (p.y - q.y) ** 2 >= min_dist * min_dist
 
-    @given(st.lists(points, max_size=50), st.floats(0, 50))
+    @given(st.lists(points, max_size=50), distances)
     def test_keeps_subsequence(self, template, min_dist):
         kept = prune_close(template, min_dist)
         it = iter(template)
@@ -105,15 +109,28 @@ class TestPruneClose:
     # Coordinates fall in 0..11 half the time, so duplicates and close pairs
     # are common.
     @given(st.lists(st.builds(MinutiaPoint, crowded, crowded), max_size=60),
-           st.sampled_from((0, 1, 2.5, 4, 6, 300)))
+           st.sampled_from((0, 1, 3, 4, 6, 255)))
     @settings(max_examples=300)
-    @example([MinutiaPoint(7, 7)] * 3 + [MinutiaPoint(9, 7), MinutiaPoint(7, 7)], 2.5)
+    @example([MinutiaPoint(7, 7)] * 3 + [MinutiaPoint(9, 7), MinutiaPoint(7, 7)], 3)
     def test_agrees_with_all_based_oracle(self, template, min_dist):
         assert prune_close(template, min_dist) == prune_close_oracle(template, min_dist)
 
+    @pytest.mark.parametrize("d, message", [
+        (2.5, " must be an int, not float"),
+        (float("inf"), " must be an int, not float"),
+        (float("nan"), " must be an int, not float"),
+        (-0.0, " must be an int, not float"),
+        (True, " must be an int, not bool"),
+        (-1, r"=-1 must be in \[0, 255\]"),
+        (256, r"=256 must be in \[0, 255\]"),
+    ])
+    def test_domain(self, d, message):
+        # d is the vault header's byte, checked in VaultParams' words.
+        with pytest.raises(DomainError, match=rf"^pruning distance d{message}$"):
+            prune_close([MinutiaPoint(1, 1)], d)
 
-@given(st.lists(st.builds(MinutiaPoint, st.integers(-300, 600), st.integers(-300, 600)),
-                max_size=40),
+
+@given(st.lists(points, max_size=40),
        st.lists(st.builds(TranslationBlock, st.integers(-1000, 5000), st.integers(-1000, 5000)),
                 min_size=4, max_size=4))
 def test_transform_template_is_transform_point_per_quadrant(template, quadrant_blocks):
@@ -121,10 +138,19 @@ def test_transform_template_is_transform_point_per_quadrant(template, quadrant_b
     assert transform_template(template, quadrant_blocks) == expect
 
 
-# Negative distances prune as their absolute value; those in (0, 1) get
-# strips one wide.
-distances = st.one_of(st.floats(0, 50), st.floats(-50, 0), st.floats(0, 1, exclude_min=True,
-                                                                        exclude_max=True))
+@pytest.mark.parametrize("x, y, message", [
+    # The quadrant wrap once folded (300, 5) onto the grid: to (210, 75)
+    # under FUZZY, to (172, 5) under these all-zero blocks.
+    (300, 5, r"^point \(300, 5\) outside the 256x256 grid$"),
+    (5, 256, r"^point \(5, 256\) outside the 256x256 grid$"),
+    (-1, 0, r"^point \(-1, 0\) outside the 256x256 grid$"),
+    (1.5, 2, r"^point \(1\.5, 2\) must have int coordinates$"),
+    (3, True, r"^point \(3, True\) must have int coordinates$"),
+])
+def test_transform_template_refuses_points_off_the_grid(x, y, message):
+    blocks = derive_blocks(CombinedPassword(bytes(8)))
+    with pytest.raises(DomainError, match=message):
+        transform_template(list(REFERENCE_POINTS) + [MinutiaPoint(x, y)], blocks)
 
 
 @given(st.lists(st.builds(MinutiaPoint, st.one_of(crowded, st.integers(-300, 600)), crowded),
@@ -132,14 +158,15 @@ distances = st.one_of(st.floats(0, 50), st.floats(-50, 0), st.floats(0, 1, exclu
        distances)
 @settings(max_examples=300)
 # Strips are 3 wide: a close pair across the boundary of strips 0 and 1.
-@example([MinutiaPoint(2, 0), MinutiaPoint(3, 1)], 2.5)
+@example([MinutiaPoint(2, 0), MinutiaPoint(3, 1)], 3)
 # The widest close pair at 4, x 3 apart, and pairs exactly one strip width
-# apart, at an integer and at a fractional distance.
+# apart, on both sides of x = 0.
 @example([MinutiaPoint(1, 0), MinutiaPoint(4, 0), MinutiaPoint(8, 1)], 4)
 @example([MinutiaPoint(3, 0), MinutiaPoint(7, 0), MinutiaPoint(11, 3)], 4)
-@example([MinutiaPoint(0, 5), MinutiaPoint(3, 5), MinutiaPoint(-3, 5)], 2.5)
+@example([MinutiaPoint(0, 5), MinutiaPoint(3, 5), MinutiaPoint(-3, 5)], 3)
+# At d = 255 a pair 255 apart on a grid edge survives, and the diagonal's
+# midpoint does not.
 @example([MinutiaPoint(0, 0), MinutiaPoint(255, 255), MinutiaPoint(100, 100),
-          MinutiaPoint(255, 0)], 300)
-@example([MinutiaPoint(0, 0), MinutiaPoint(255, 255), MinutiaPoint(-300, 600)], float("inf"))
+          MinutiaPoint(255, 0)], 255)
 def test_strip_pruning_agrees_with_oracle(template, min_dist):
     assert prune_close(template, min_dist) == prune_close_oracle(template, min_dist)
