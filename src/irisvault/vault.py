@@ -39,22 +39,25 @@ log[0] is only a placeholder, so lanes with x = 0 are set to c0 at the end.
 
 Decoding reverses the path: decrypt, transform the query with the same
 password, match its lock units against the vault (within epsilon, a header
-byte, in a row bitmask table padded by epsilon), and decode the candidates as
-a Reed-Solomon code.  Genuine points are codeword symbols and matched chaff
-are errors, so the first nine candidates' interpolant h, or else Gao's
-algorithm on the residual y - h at degree m - 9, recovers the polynomial from
-m candidates with distinct abscissas when at most floor((m - 9) / 2) are
-chaff.  A decode is accepted only when the polynomial agrees with at least
-ceil((m + 9) / 2) of all m candidates and its payload passes the CRC.  Within
-that radius the polynomial is unique, so the candidates' order does not
-matter.  At epsilon > 0 a maximal set of disjoint pairs closer than d, chosen
-greedily in abscissa order, is dropped before decoding: lock units are pruned
-at d and no chaff lies on the polynomial, so a pair holds at most one genuine
-point, and dropping it costs the enrolled polynomial one agreement of the two
-more the radius would ask.  The decoder runs on the conflict-free rest, the
-core, and counts the dropped points only toward the agreement; with fewer than
-nine left, only a polynomial through both points of a pair could pass, so none
-is sought.
+byte, in a row bitmask table padded by epsilon, from discs built once per
+epsilon), and decode the candidates as a Reed-Solomon code.  Genuine points
+are codeword symbols and matched chaff are errors, so the first nine
+candidates' interpolant h, or else Gao's algorithm on the residual y - h at
+degree m - 9, recovers the polynomial from m candidates with distinct
+abscissas when at most floor((m - 9) / 2) are chaff.  h stays the first
+nine's Newton table: a later candidate's residual (y - h(a)) / W(a) is the
+table's one-point extension, 0 exactly where h agrees, so h is expanded into
+coefficients only when it is returned.  A decode is accepted only when the
+polynomial agrees with at least ceil((m + 9) / 2) of all m candidates and its
+payload passes the CRC.  Within that radius the polynomial is unique, so the
+candidates' order does not matter.  At epsilon > 0 a maximal set of disjoint
+pairs closer than d, chosen greedily in abscissa order, is dropped before
+decoding: lock units are pruned at d and no chaff lies on the polynomial, so a
+pair holds at most one genuine point, and dropping it costs the enrolled
+polynomial one agreement of the two more the radius would ask.  The decoder
+runs on the conflict-free rest, the core, and counts the dropped points only
+toward the agreement; with fewer than nine left, only a polynomial through
+both points of a pair could pass, so none is sought.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ import sys
 from array import array
 from collections import Counter, namedtuple
 from collections.abc import Sequence
+from functools import cache
 from itertools import chain, compress
 from math import isqrt
 from operator import itemgetter, ne, xor
@@ -220,10 +224,12 @@ def decode_secret(coeffs: Sequence[int]) -> bytes:
 
 
 def eval_poly(coeffs: Sequence[int], u: int) -> int:
-    """Evaluate the polynomial (coefficients highest degree first) at ``u``
-    in [0, 65535] by Horner's rule on the log/antilog tables, or DomainError."""
+    """Evaluate the polynomial (coefficients highest degree first) at ``u`` by
+    Horner's rule on the log/antilog tables; DomainError for values outside [0, 65535]."""
     if u >> 16:  # below 0 as well as above 65535
         raise DomainError(f"abscissa {u} must be in [0, {GF_ORDER - 1}]")
+    if coeffs and not 0 <= min(coeffs) <= max(coeffs) < GF_ORDER:
+        raise DomainError(f"coefficients must lie in [0, {GF_ORDER - 1}]")
     if not u:
         return coeffs[-1] if coeffs else 0
     exp, log = _GF_EXP, _GF_LOG
@@ -301,33 +307,55 @@ def _times_linear(p: list[int], a: int) -> None:
                 p[j] ^= exp[log[c] + la]
 
 
-def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """The unique polynomial of degree below ``len(points)`` through the
-    points, as ``len(points)`` coefficients highest degree first: through
-    nine points, the form :func:`encode_secret` returns.
+def _newton_residue(xs: list[int], dd: list[int], a: int, y: int) -> int:
+    """f[x0, ..., x(n-1), a] for f(a) = y, which extends the Newton table
+    ``dd`` of h through ``xs`` by one point: (y - h(a)) / W(a) with W =
+    prod(x - xi), 0 exactly when h(a) = y, at one division per xi."""
+    exp, log, top = _GF_EXP, _GF_LOG, GF_ORDER - 1
+    for b, c in zip(xs, dd):
+        y ^= c  # in characteristic 2 subtraction is xor,
+        if y:  # and exp is doubled, so log[y] - log[a ^ b] + 65535 stays inside it
+            y = exp[log[y] - log[a ^ b] + top]
+    return y
 
-    Newton's divided differences, then expansion of the nested form.
-    Abscissas must be pairwise distinct and in [0, 65535].
-    """
-    xs = [p[0] for p in points]
-    if len(set(xs)) != len(xs):
-        raise DomainError("interpolation abscissas must be pairwise distinct")
-    if xs and not 0 <= min(xs) <= max(xs) < GF_ORDER:
-        raise DomainError(f"interpolation abscissas must lie in [0, {GF_ORDER - 1}]")
-    exp, log = _GF_EXP, _GF_LOG
-    dd = [p[1] for p in points]  # becomes f[x0], f[x0, x1], ..., f[x0..x(n-1)]
-    for j in range(1, len(dd)):
-        for i in range(len(dd) - 1, j - 1, -1):
-            diff = dd[i] ^ dd[i - 1]
-            # diff / (xi - x(i-j)); in characteristic 2 subtraction is xor,
-            # and exp is doubled, so log[diff] - log[den] + 65535 stays inside it.
-            dd[i] = exp[log[diff] - log[xs[i] ^ xs[i - j]] + GF_ORDER - 1] if diff else 0
-    # dd[0] + (x - xs[0])(dd[1] + (x - xs[1])(...)), from the inside out.
+
+def _newton_table(points: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Abscissas and Newton table f[x0], f[x0, x1], ...: each entry is its
+    point's residue on the entries before it."""
+    xs, dd = [], []
+    for a, y in points:
+        dd.append(_newton_residue(xs, dd, a, y))
+        xs.append(a)
+    return xs, dd
+
+
+def _newton_expand(xs: list[int], dd: list[int]) -> tuple[int, ...]:
+    """dd[0] + (x - xs[0])(dd[1] + ...) expanded, coefficients highest first."""
     coeffs = dd[-1:]
     for i in range(len(xs) - 2, -1, -1):
         _times_linear(coeffs, xs[i])
         coeffs[0] ^= dd[i]
     return tuple(reversed(coeffs))
+
+
+def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The unique polynomial of degree below ``len(points)`` through the
+    points, as ``len(points)`` coefficients highest degree first: through
+    nine points, the form :func:`encode_secret` returns.
+
+    Newton's divided-difference table, then expansion of the nested form,
+    the two halves :func:`_rs_decode` uses apart.  Abscissas must be
+    pairwise distinct, and abscissas and ordinates in [0, 65535].
+    """
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    if len(set(xs)) != len(xs):
+        raise DomainError("interpolation abscissas must be pairwise distinct")
+    if xs and not 0 <= min(xs) <= max(xs) < GF_ORDER:
+        raise DomainError(f"interpolation abscissas must lie in [0, {GF_ORDER - 1}]")
+    if ys and not 0 <= min(ys) <= max(ys) < GF_ORDER:
+        raise DomainError(f"interpolation ordinates must lie in [0, {GF_ORDER - 1}]")
+    return _newton_expand(*_newton_table(points))
 
 
 # Polynomials for the decoder: coefficient lists, degree ascending, with no
@@ -385,10 +413,12 @@ def _rs_decode(candidates: Sequence[tuple[int, int]],
     eight points), so the answer does not depend on the candidates' order.
     The interpolant h of the first nine settles a set whose errors are all
     past them without Euclid: the later candidates, then the spare ones,
-    are counted on h until it has the agreement.  Otherwise Gao's algorithm
-    (2003) decodes the residual y - h of the candidates alone, whose
-    interpolant is W * T: W = prod(x - a_i) over the first nine, T through
-    the later (a_j, (y_j - h(a_j)) / W(a_j)).  Euclid on W * P and W * T,
+    are counted on h, while it lacks the agreement, by their residues
+    (y - h(a)) / W(a) on the first nine's Newton table, W = prod(x - a_i)
+    over the first nine; h is expanded from the table only to be returned.
+    Otherwise Gao's algorithm (2003) decodes the residual y - h of the
+    candidates alone, whose interpolant is W * T, T through the later
+    candidates' (a_j, (y_j - h(a_j)) / W(a_j)).  Euclid on W * P and W * T,
     P = prod(x - a_j) over the later ones, has the quotients and Bezout
     coefficients v of Euclid on P and T, at degree m - 9, so it stops at
     2 deg r < m - 9 and gives h + W * r / v, of degree at most 8 only when
@@ -397,29 +427,26 @@ def _rs_decode(candidates: Sequence[tuple[int, int]],
     constant, so Euclid takes no step and deg r = deg v.
     """
     m = len(candidates)
-    coeffs = interpolate(candidates[:N_COEFFS])
-    first = [a for a, _ in candidates[:N_COEFFS]]
+    first, table = _newton_table(candidates[:N_COEFFS])
     short = (m + len(spare) + N_COEFFS + 1) // 2 - N_COEFFS  # agreements h still lacks
     residual = []
     for a, y in candidates[N_COEFFS:]:
-        z = y ^ eval_poly(coeffs, a)
-        if z:  # divided by W(a), one log per factor
-            z = _GF_EXP[(_GF_LOG[z] - sum([_GF_LOG[a ^ b] for b in first])) % (GF_ORDER - 1)]
-        else:
+        z = _newton_residue(first, table, a, y)
+        if not z:
             short -= 1
             if not short:
-                return coeffs
+                return _newton_expand(first, table)
         residual.append((a, z))
     if short <= len(spare):  # else h cannot reach the agreement
         for a, y in spare:
-            if eval_poly(coeffs, a) == y:
+            if not _newton_residue(first, table, a, y):
                 short -= 1
                 if not short:
-                    return coeffs
+                    return _newton_expand(first, table)
     r0 = [1]
     for a, _ in residual:
         _times_linear(r0, a)
-    r1 = _poly_trim(list(reversed(interpolate(residual))))
+    r1 = _poly_trim(list(reversed(_newton_expand(*_newton_table(residual)))))
     v0: list[int] = []
     v1 = [1]
     while 2 * (len(r1) - 1) >= m - N_COEFFS:
@@ -427,7 +454,7 @@ def _rs_decode(candidates: Sequence[tuple[int, int]],
         r0, r1 = r1, rem
         v0, v1 = v1, _poly_addmul(v0, quot, v1)
     if not r1:  # T = 0: h is through every candidate, so only spare ones can be short
-        return None if short else coeffs
+        return None if short else _newton_expand(first, table)
     if len(r1) >= len(v1):
         return None
     for a in first:
@@ -439,7 +466,7 @@ def _rs_decode(candidates: Sequence[tuple[int, int]],
     # roots of v, and deg v <= (m - 9) / 2 since the remainder before r had
     # 2 deg >= m - 9: h + g has the agreement among the candidates without
     # a recount.
-    coeffs = tuple(c ^ d for c, d in zip(coeffs, [0] * (N_COEFFS - len(g)) + g[::-1]))
+    coeffs = tuple(map(xor, _newton_expand(first, table), [0] * (N_COEFFS - len(g)) + g[::-1]))
     if spare:
         agree = sum([eval_poly(coeffs, a) == y for a, y in chain(candidates, spare)])
         if 2 * agree < m + len(spare) + N_COEFFS:
@@ -494,10 +521,13 @@ def generate_chaff(genuine_us: Sequence[int], poly: Sequence[int], count: int,
     shortfall is drawn again the same way: abscissas stay distinct, a repeat
     loses to its first copy, and no chaff point can pass as genuine.
     DomainError unless ``count`` is an int >= 0, as in :class:`VaultParams`,
-    and the genuine units are distinct ints, not bools, in [0, 65535].
+    the genuine units are distinct ints, not bools, in [0, 65535], and so
+    is every coefficient of ``poly``, which would spill into the abscissa.
     """
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise DomainError(f"chaff count must be an int >= 0, not {count!r}")
+    if not set(map(type, poly)) <= {int} or poly and not 0 <= min(poly) <= max(poly) < GF_ORDER:
+        raise DomainError(f"polynomial coefficients must be ints in [0, {GF_ORDER - 1}]")
     for u in genuine_us:
         if type(u) is not int:
             raise DomainError(f"genuine unit {u!r} must be an int, not {type(u).__name__}")
@@ -591,6 +621,15 @@ def build_vault(template: Template, secret: bytes, cp: CombinedPassword,
     return encrypt_vault(params, struct.pack(f">{len(records)}I", *records), cp)
 
 
+@cache  # keyed by the epsilon header byte: at most 256 entries
+def _disc_spans(epsilon: int) -> tuple[tuple[int, int], ...]:
+    """Row qx + dx of a disc round (qx, qy) holds y in [qy - half, qy + half],
+    half at most epsilon: as (epsilon + dx, 2 * half + 1 one bits at
+    epsilon - half), to be shifted by qy."""
+    halves = [(dx, isqrt(epsilon * epsilon - dx * dx)) for dx in range(-epsilon, epsilon + 1)]
+    return tuple((epsilon + dx, ((1 << (2 * h + 1)) - 1) << (epsilon - h)) for dx, h in halves)
+
+
 def match_candidates(clear: bytes, query_units: Sequence[int],
                      epsilon: int) -> list[tuple[int, int]]:
     """The points of the clear region ``clear`` (see :func:`decrypt_vault`),
@@ -614,6 +653,9 @@ def match_candidates(clear: bytes, query_units: Sequence[int],
     if len(clear) % POINT_RECORD.size:
         raise DomainError(f"clear region of {len(clear)} bytes is not whole 4-byte records")
     check_int("epsilon", epsilon, 0, 0xFF)
+    if not set(map(type, query_units)) <= {int}:
+        u = next(u for u in query_units if type(u) is not int)
+        raise DomainError(f"query unit {u!r} must be an int, not {type(u).__name__}")
     if query_units and not 0 <= min(query_units) <= max(query_units) < GF_ORDER:
         raise DomainError(f"query units must lie in [0, {GF_ORDER - 1}]")
     words = array("H")
@@ -624,20 +666,12 @@ def match_candidates(clear: bytes, query_units: Sequence[int],
     if epsilon == 0:
         picked = compress(range(len(abscissas)), map(set(query_units).__contains__, abscissas))
     else:
-        # Row qx + dx of a disc holds y in [qy - half, qy + half], half at
-        # most epsilon: 2 * half + 1 one bits at epsilon - half, shifted by qy.
-        spans, limit = [], epsilon * epsilon
-        for dx in range(-epsilon, epsilon + 1):
-            half = isqrt(limit - dx * dx)
-            spans.append((epsilon + dx, ((1 << (2 * half + 1)) - 1) << (epsilon - half)))
+        spans = _disc_spans(epsilon)
         rows = [0] * (GRID_SIZE + 2 * epsilon)
-        try:
-            for u in query_units:
-                qx, qy = u >> 8, u & 0xFF
-                for x, span in spans:
-                    rows[qx + x] |= span << qy
-        except TypeError:
-            raise DomainError(f"query unit {u!r} must be an int, not {type(u).__name__}") from None
+        for u in query_units:
+            qx, qy = u >> 8, u & 0xFF
+            for x, span in spans:
+                rows[qx + x] |= span << qy
         del rows[:epsilon]
         bit = 1 << epsilon
         picked = [i for i, a in enumerate(abscissas) if rows[a >> 8] >> (a & 0xFF) & bit]

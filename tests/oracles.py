@@ -7,7 +7,7 @@ deliberately shares no code with the package.
 
 from collections import namedtuple
 from functools import cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 GF_MODULUS = 0x1100B
 CRC_POLY = 0x8005
@@ -88,6 +88,42 @@ def _gf_tables():
     return gf_tables_oracle()
 
 
+def _gf_mul_div():
+    """Multiply and divide on this module's own log tables."""
+    exp, log = _gf_tables()
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def div(a, b):
+        return exp[log[a] - log[b] + 65535] if a else 0
+
+    return mul, div
+
+
+def lagrange_oracle(points):
+    """The polynomial of degree below ``len(points)`` through the points
+    (distinct abscissas), as ascending coefficients, by Lagrange's formula:
+    each basis prod over k != i of (x - ak) is the product over every point
+    divided by (x - ai), one synthetic division."""
+    mul, div = _gf_mul_div()
+    full = [1]  # prod (x - ak), ascending
+    for a, _ in points:
+        full = [mul(c, a) ^ d for c, d in zip(full + [0], [0] + full)]
+    coeffs = [0] * len(points)
+    for a, y in points:
+        basis, carry = [0] * len(points), 0
+        for j in range(len(points), 0, -1):
+            carry = full[j] ^ mul(carry, a)
+            basis[j - 1] = carry
+        den = 0
+        for c in reversed(basis):
+            den = mul(den, a) ^ c
+        scale = div(y, den)
+        coeffs = [c ^ mul(scale, b) for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
 def rs_decode_oracle(candidates):
     """The polynomial of degree at most 8 that agrees with at least
     ceil((m + 9) / 2) of the m candidates (distinct abscissas), as nine
@@ -95,22 +131,10 @@ def rs_decode_oracle(candidates):
     interpolated by Lagrange's formula and checked against all m.  Meant
     for m <= 13, at most 715 subsets; products go through this module's
     own log tables."""
-    exp, log = _gf_tables()
-
-    def mul(a, b):
-        return exp[log[a] + log[b]] if a and b else 0
-
+    mul, _ = _gf_mul_div()
     need = (len(candidates) + 10) // 2
     for subset in combinations(candidates, 9):
-        coeffs = [0] * 9  # degree ascending
-        for i, (ai, yi) in enumerate(subset):
-            basis, den = [1], 1  # prod over k != i of (x - ak), and of (ai - ak)
-            for k, (ak, _) in enumerate(subset):
-                if k != i:
-                    basis = [mul(c, ak) ^ d for c, d in zip(basis + [0], [0] + basis)]
-                    den = mul(den, ai ^ ak)
-            scale = mul(yi, exp[65535 - log[den]])
-            coeffs = [c ^ mul(scale, b) for c, b in zip(coeffs, basis)]
+        coeffs = lagrange_oracle(subset)
         agree = 0
         for x, y in candidates:
             acc = 0
@@ -120,6 +144,88 @@ def rs_decode_oracle(candidates):
         if agree >= need:
             return tuple(reversed(coeffs))
     return None
+
+
+def rs_decode_residual_oracle(candidates, spare=()):
+    """The package's decoder as it ran before its residuals came from a
+    Newton table, on this module's own arithmetic: h through the first nine
+    by Lagrange's formula, each later candidate's residual (y - h(a)) / W(a)
+    by Horner's rule on h and W(a) = prod(a - ai) over the first nine, the
+    spare points counted on h by Horner's rule, and Gao's Euclid (2003) on
+    the residual at degree m - 9, then h + W * r / v.  Its answers are the
+    decoder's by contract: the same polynomial or None on every input."""
+    mul, div = _gf_mul_div()
+
+    def value(p, x):  # p ascending
+        acc = 0
+        for c in reversed(p):
+            acc = mul(acc, x) ^ c
+        return acc
+
+    def trim(p):
+        while p and not p[-1]:
+            p.pop()
+        return p
+
+    def product(p, q):
+        out = [0] * (len(p) + len(q) - 1) if p and q else []
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] ^= mul(a, b)
+        return trim(out)
+
+    def divide(num, den):  # den trimmed and nonzero
+        rem, quot = list(num), [0] * max(len(num) - len(den) + 1, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            q = quot[i] = div(rem[i + len(den) - 1], den[-1])
+            for j, c in enumerate(den):
+                rem[i + j] ^= mul(q, c)
+        return trim(quot), trim(rem[:len(den) - 1])
+
+    m, first = len(candidates), candidates[:9]
+    h = lagrange_oracle(first)
+    short = (m + len(spare) + 10) // 2 - 9
+    residual = []
+    for a, y in candidates[9:]:
+        w = 1
+        for b, _ in first:
+            w = mul(w, a ^ b)
+        z = div(y ^ value(h, a), w)
+        if not z:
+            short -= 1
+            if not short:
+                return tuple(reversed(h))
+        residual.append((a, z))
+    if short <= len(spare):
+        for a, y in spare:
+            if value(h, a) == y:
+                short -= 1
+                if not short:
+                    return tuple(reversed(h))
+    r0 = [1]
+    for a, _ in residual:
+        r0 = product(r0, [a, 1])
+    r1 = trim(lagrange_oracle(residual))
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= m - 9:
+        quot, rem = divide(r0, r1)
+        r0, r1 = r1, rem
+        v0, v1 = v1, trim([c ^ d for c, d in zip_longest(v0, product(quot, v1), fillvalue=0)])
+    if not r1:
+        return None if short else tuple(reversed(h))
+    if len(r1) >= len(v1):
+        return None
+    for a, _ in first:
+        r1 = product(r1, [a, 1])
+    g, rem = divide(r1, v1)
+    if rem:
+        return None
+    coeffs = [c ^ d for c, d in zip_longest(h, g, fillvalue=0)]
+    if spare:
+        agree = sum(value(coeffs, a) == y for a, y in list(candidates) + list(spare))
+        if 2 * agree < m + len(spare) + 9:
+            return None
+    return tuple(reversed(coeffs))
 
 
 def generate_chaff_oracle(genuine_us, poly, count, rng):

@@ -12,8 +12,11 @@ words, and checks that the all-zero secret comes back.  It compares the
 lane kernel, the chaff draw and the scramble with their references, and
 hashes the Reed-Solomon decoder's answers on a fixed mix of candidate sets,
 as drawn, sorted, and on the core open_vault decodes once close pairs are
-dropped at d = 4 and at d = 2, without pytest or Hypothesis.  Run it from the repository root under each
-interpreter to check:
+dropped at d = 4 and at d = 2.  It checks the decodes as drawn and on both
+cores against ``oracles.rs_decode_residual_oracle``, which evaluates the
+first nine's interpolant by Horner's rule and W(a) as a product where the
+decoder extends their Newton table.  No check needs pytest or Hypothesis.
+Run it from the repository root under each interpreter to check:
 
     PYTHONPATH=src python tests/portability_check.py
 
@@ -46,7 +49,7 @@ from irisvault.vault import (  # noqa: E402
     write_vault,
 )
 
-from oracles import generate_chaff_oracle  # noqa: E402
+from oracles import generate_chaff_oracle, rs_decode_residual_oracle  # noqa: E402
 from vectors import GOLDEN_IFV2, GOLDEN_IFV2_NEXT_DRAW  # noqa: E402
 
 
@@ -98,12 +101,12 @@ def decoder_cases(count: int):
         yield points
 
 
-def core_decode(points, d: int):
+def core_decode(points, d: int, decode=_rs_decode):
     """open_vault's decode at epsilon > 0: the candidates sorted, close
     pairs dropped at ``d``, and the core decoded with the dropped ones as
     spare, or None when fewer than nine are left."""
     core, spare = _drop_close_pairs(sorted(points), d)
-    return _rs_decode(core, spare) if len(core) >= 9 else None
+    return decode(core, spare) if len(core) >= 9 else None
 
 
 def decoder_digest(count: int) -> bool:
@@ -125,6 +128,22 @@ def decoder_digest(count: int) -> bool:
         got = digest.hexdigest()
         print(f"{label}: {'ok' if got == expect else 'MISMATCH ' + got}")
         ok &= got == expect
+    return ok
+
+
+def decoder_oracle(count: int) -> bool:
+    """The decoder against the residual oracle on the same cases, as drawn
+    and as the core decode at d = 4 and at d = 2."""
+    ok = True
+    for label, decode in (
+            ("as drawn", lambda p, f: f(p)),
+            ("close pairs dropped", lambda p, f: core_decode(p, 4, f)),
+            ("close pairs dropped at d = 2", lambda p, f: core_decode(p, 2, f))):
+        bad = sum(decode(points, _rs_decode) != decode(points, rs_decode_residual_oracle)
+                  for points in decoder_cases(count))
+        print(f"decoder against the residual oracle, {label}: "
+              f"{count - bad} of {count} sets agree")
+        ok &= not bad
     return ok
 
 
@@ -175,5 +194,5 @@ def scramble(seeds: int) -> bool:
 if __name__ == "__main__":
     print(sys.version.split()[0])
     results = [golden_digests(), lane_kernel(3000), chaff_draw(20), scramble(5),
-               decoder_digest(400)]
+               decoder_digest(400), decoder_oracle(400)]
     sys.exit(0 if all(results) else 1)

@@ -51,6 +51,7 @@ from oracles import (
     match_candidates_oracle,
     root_product_oracle,
     rs_decode_oracle,
+    rs_decode_residual_oracle,
 )
 from portability_check import core_decode, decoder_digest
 from vectors import FUZZY, TOKEN
@@ -185,6 +186,14 @@ class TestEvalPoly:
         with pytest.raises(DomainError, match=rf"^abscissa {u} must be in \[0, 65535\]$"):
             eval_poly((1, 2, 3), u)
 
+    @pytest.mark.parametrize("coeffs", [(70000, 1, 2), (-3, 1, 2), (1, 2, 0x10000), (1, -1)])
+    @pytest.mark.parametrize("u", [0, 5])
+    def test_coefficient_outside_the_field(self, coeffs, u):
+        # (70000, 1, 2) once raised IndexError from the log table, and
+        # (-3, 1, 2) gave 61507 at 5.
+        with pytest.raises(DomainError, match=r"^coefficients must lie in \[0, 65535\]$"):
+            eval_poly(coeffs, u)
+
     @pytest.mark.parametrize("u", [0, 1, 5, 0xFFFF])
     def test_empty_polynomial_is_zero_everywhere(self, u):
         # interpolate([]) gives (), the zero polynomial, at u = 0 as elsewhere.
@@ -263,6 +272,15 @@ class TestLagrange:
         with pytest.raises(DomainError,
                            match=r"^interpolation abscissas must lie in \[0, 65535\]$"):
             interpolate([(x, 2) for x in xs])
+
+    @pytest.mark.parametrize("points", [[(1, 70000), (3, 4)], [(1, -5), (3, 4)],
+                                        [(0, 0), (1, 0x10000)], [(7, -1)]])
+    def test_ordinate_outside_the_field(self, points):
+        # [(1, 70000), (3, 4)] once raised IndexError from the log table,
+        # and [(1, -5), (3, 4)] gave (63482, -63487).
+        with pytest.raises(DomainError,
+                           match=r"^interpolation ordinates must lie in \[0, 65535\]$"):
+            interpolate(points)
 
 
 class Scripted(random.Random):
@@ -467,6 +485,17 @@ class TestChaff:
         poly = encode_secret(bytes(18))
         with pytest.raises(DomainError, match=f"^{message}$"):
             generate_chaff(genuine, poly, 0, Scripted([]))
+
+    @pytest.mark.parametrize("poly", [
+        (1, 2, 3, 4, 5, 6, 7, 8, 70000), (0x10000,), (-1, 2), (1, True, 3), (1, 2.0), (None,),
+    ])
+    def test_polynomial_coefficients_must_be_16_bit_ints(self, poly):
+        # A coefficient past 16 bits once spilled into the record's abscissa
+        # half: with the first poly below, unit 2's record read back as
+        # abscissa 3, and the call returned [70008, 201052, ...].
+        with pytest.raises(DomainError, match=r"^polynomial coefficients must be ints "
+                                              r"in \[0, 65535\]$"):
+            generate_chaff([1, 2], poly, 3, random.Random(0))
 
 
 def make_vault(seed=0, params=None, secret=SECRET, cp=FUZZY):
@@ -701,12 +730,29 @@ class TestMatchCandidates:
         ([unit(3, 3)], 256, r"epsilon=256 must be in \[0, 255\]"),
         # A unit that is not an int once raised TypeError from u >> 8.
         ([1.5], 2, "query unit 1.5 must be an int, not float"),
+        # At epsilon 0 the set lookup once took 3.0 as unit 3, and True
+        # passed as unit 1 at epsilon 0 and 2 alike.
+        ([3.0], 0, "query unit 3.0 must be an int, not float"),
+        ([True], 0, "query unit True must be an int, not bool"),
+        ([True], 2, "query unit True must be an int, not bool"),
+        ([unit(3, 3), False], 2, "query unit False must be an int, not bool"),
+        ([unit(3, 3), "7"], 0, "query unit '7' must be an int, not str"),
     ])
     def test_domain(self, query, epsilon, message):
         # Unit -1 decodes to (-1, 255), off the grid; a unit further below 0
         # would index the padded row table from its far end.
         with pytest.raises(DomainError, match=message):
             match_candidates(region([(unit(0, 255), 1), (unit(3, 3), 2)]), query, epsilon)
+
+    @given(st.lists(grid_units, max_size=60), st.lists(grid_units, max_size=10))
+    @settings(max_examples=50, deadline=None)
+    def test_disc_memo_agrees_with_oracle_across_epsilons(self, abscissas, query):
+        # One disc table per epsilon, built on first use and kept: calls at
+        # epsilons in turn, each repeated, must each match the brute-force scan.
+        clear = region((a, i) for i, a in enumerate(abscissas))
+        for epsilon in (8, 2, 8, 0, 255, 1, 2):
+            assert (match_candidates(clear, query, epsilon)
+                    == match_candidates_oracle(pairs_of(clear), query, epsilon))
 
     @pytest.mark.parametrize("size", [1, 2, 6, 7, 882])
     @pytest.mark.parametrize("epsilon", [0, 2])
@@ -775,6 +821,15 @@ def candidate_sets(draw, max_m):
     return corrupt([(x, eval_poly_oracle(coeffs, x)) for x in xs], where, deltas)
 
 
+SPARSE = (7, 0, 0, 0, 0, 0, 0, 1, 0x1234)
+
+
+def sparse_points(xs, off=()):
+    """SPARSE's points at ``xs``, with the ordinates at positions ``off``
+    moved off the curve."""
+    return corrupt([(x, eval_poly_oracle(SPARSE, x)) for x in xs], off, [1] * len(off))
+
+
 class TestRsDecode:
     def test_errors_among_the_first_nine(self):
         # The first nine candidates' interpolant is wrong, so the decode
@@ -820,6 +875,31 @@ class TestRsDecode:
     @settings(max_examples=100, deadline=None)
     def test_agrees_with_every_nine_subset_oracle(self, points):
         assert _rs_decode(points) == rs_decode_oracle(points)
+
+    @given(candidate_sets(max_m=60), st.integers(0, 6))
+    @settings(max_examples=150, deadline=None)
+    # Abscissa 0 among the first nine, as the one error of the zero polynomial,
+    # so Euclid must find it; then as a later candidate on it, and as the spare
+    # point that gives it the agreement; then later, off the line h = x; then
+    # nine zeros, m = 9.
+    @example([(0, 5)] + [(x, 0) for x in range(1, 20)], 0)
+    @example([(x, 0) for x in range(1, 10)] + [(0, 0)] + [(x, 1) for x in range(10, 20)], 0)
+    @example([(x, 0) for x in range(1, 13)] + [(x, 1) for x in range(13, 16)]
+             + [(0, 0), (40, 0)], 2)
+    @example([(x, x) for x in range(1, 10)] + [(0, 7)] + [(x, 0) for x in range(10, 22)], 3)
+    @example([(x, 0) for x in range(9)], 0)
+    # The spare points settle h: two of four on it, abscissa 0 among them,
+    # then one; then, after Euclid, one of four, then none.
+    @example(sparse_points(list(range(1, 11)) + [0, 40, 41, 42], off=(12, 13)), 4)
+    @example(sparse_points(list(range(1, 11)) + [0, 40, 41, 42], off=(11, 12, 13)), 4)
+    @example(sparse_points(list(range(1, 16)) + [0, 40, 41, 42], off=(2, 5, 16, 17, 18)), 4)
+    @example(sparse_points(list(range(1, 16)) + [0, 40, 41, 42], off=(2, 5, 15, 16, 17, 18)), 4)
+    def test_agrees_with_residual_oracle(self, points, spare_count):
+        # The residues come from the first nine's Newton table; the oracle
+        # evaluates h by Horner and W(a) as a product, on its own tables.
+        split = max(9, len(points) - spare_count)
+        candidates, spare = points[:split], points[split:]
+        assert _rs_decode(candidates, spare) == rs_decode_residual_oracle(candidates, spare)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
