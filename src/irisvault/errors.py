@@ -6,7 +6,12 @@ template file or vault byte stream among it, and ``UnlockError`` a vault
 decode that came up empty.  The message says which check failed.  The CLI
 maps ``UnlockError`` to exit code 1 (authentication failure) and every
 other error to exit code 2 (bad input or parameters).
+
+Every int taken from outside passes one of two rules, written once here:
+:func:`check_int` for one value in a range, :func:`check_words` for 16-bit words.
 """
+
+from collections.abc import Sequence
 
 
 class IrisVaultError(Exception):
@@ -33,3 +38,12 @@ def check_int(name: str, value: object, lo: int, hi: int) -> None:
         raise DomainError(f"{name} must be an int, not {type(value).__name__}")
     if not lo <= value <= hi:
         raise DomainError(f"{name}={value} must be in [{lo}, {hi}]")
+
+
+def check_words(name: str, values: Sequence[object]) -> None:
+    """:func:`check_int` on each of ``values`` with the range [0, 65535],
+    after one C-level pass that settles the common case of valid words."""
+    if (not set(map(type, values)) <= {int}
+            or values and not 0 <= min(values) <= max(values) <= 0xFFFF):
+        for value in values:
+            check_int(name, value, 0, 0xFFFF)

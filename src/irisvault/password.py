@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 USER_PASSWORD_LEN = 5
 COMBINED_LEN = 8
@@ -44,10 +44,7 @@ class SoftBiometrics(namedtuple("SoftBiometrics", "height_cm eye_color gender"))
     __slots__ = ()
 
     def __new__(cls, height_cm: int, eye_color: EyeColor, gender: str) -> SoftBiometrics:
-        if not isinstance(height_cm, int) or isinstance(height_cm, bool):
-            raise DomainError(f"height must be an int, not {type(height_cm).__name__}")
-        if not 0 <= height_cm <= 255:
-            raise DomainError(f"height {height_cm} does not fit in one byte")
+        check_int("height", height_cm, 0, 0xFF)
         if not isinstance(eye_color, EyeColor):
             raise DomainError(f"unknown eye color {eye_color!r}")
         if gender not in ("M", "F"):
@@ -116,10 +113,13 @@ def derive_blocks(cp: CombinedPassword) -> list[TranslationBlock]:
 
 
 def mask_secret(secret: bytes, cp: CombinedPassword) -> bytes:
-    """Xor a 16-byte secret with the password repeated twice.
-
-    Involutive: masking a masked secret restores the original.
-    """
+    """Xor a 16-byte secret, of any bytes-like type, with the password
+    repeated twice; DomainError otherwise.  Involutive: masking a masked
+    secret restores the original."""
+    try:
+        secret = memoryview(secret).cast("B")
+    except TypeError:
+        raise DomainError(f"secret must be bytes-like, not {type(secret).__name__}") from None
     if len(secret) != 16:
         raise DomainError(f"secret must be 16 bytes, got {len(secret)}")
     pad = int.from_bytes(cp.data * 2, "big")

@@ -16,25 +16,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 # Guessing-entropy bounds, in bits, credited to the combined password.
 GUESSING_ENTROPY_BITS = (18.0, 30.0)
-
-
-def _check_domain(r: int, c: int, n: int) -> None:
-    for name, value in (("genuine count r", r), ("chaff count c", c), ("polynomial degree n", n)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DomainError(f"{name} must be an int, not {type(value).__name__}")
-    if n < 0:
-        raise DomainError(f"polynomial degree must be non-negative, got {n}")
-    if r < n + 1:
-        raise DomainError(f"need r >= n + 1 genuine points, got r={r}, n={n}")
-    if c < 0:
-        raise DomainError(f"chaff count must be non-negative, got {c}")
-    if max(r, c) > 0xFFFF or r + c > 1 << 16:  # a header's counts, as in VaultParams
-        raise DomainError(f"need r, c <= 65535 and r + c <= 65536 distinct abscissas, "
-                          f"got r={r}, c={c}")
 
 
 class EntropyReport(namedtuple("EntropyReport", "r c t n total_combinations required_combinations "
@@ -55,8 +40,12 @@ class EntropyReport(namedtuple("EntropyReport", "r c t n total_combinations requ
 
 def analyze(r: int, c: int, n: int) -> EntropyReport:
     """Assemble the full entropy report for a vault shape, computing each
-    binomial once."""
-    _check_domain(r, c, n)
+    binomial once; r and c are a header's counts, as in VaultParams."""
+    check_int("polynomial degree n", n, 0, 0xFFFE)
+    check_int("genuine count r", r, n + 1, 0xFFFF)
+    check_int("chaff count c", c, 0, 0xFFFF)
+    if r + c > 1 << 16:
+        raise DomainError(f"r + c = {r + c} points exceed the {1 << 16} distinct abscissas")
     total = math.comb(r + c, n + 1)
     required = math.comb(r, n + 1)
     try:

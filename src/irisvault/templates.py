@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .transform import GRID_SIZE, MinutiaPoint, Template
 
 PLACEMENT_TRIES = 10_000
@@ -49,10 +49,10 @@ def synth_template(seed: int, count: int, min_dist: float) -> Template:
 
     Rejection-samples the grid; gives up with DomainError once a single
     point burns through 10,000 rejected draws, which in practice means the
-    (count, min_dist) combination does not fit.
+    (count, min_dist) combination does not fit, and for a ``count`` that
+    is not an int from 0 to the grid's 65536 cells.
     """
-    if count < 0:
-        raise DomainError(f"count must be non-negative, got {count}")
+    check_int("count", count, 0, GRID_SIZE * GRID_SIZE)
     rng = random.Random(seed)
     threshold = min_dist * min_dist
     points: Template = []

@@ -73,7 +73,7 @@ from itertools import chain, compress
 from math import isqrt
 from operator import itemgetter, ne, xor
 
-from .errors import DomainError, UnlockError, check_int
+from .errors import DomainError, UnlockError, check_int, check_words
 from .fields import (
     _GF_EXP,
     _GF_LOG,
@@ -217,19 +217,17 @@ def encode_secret(payload: bytes) -> tuple[int, ...]:
 
 def decode_secret(coeffs: Sequence[int]) -> bytes:
     """Inverse of :func:`encode_secret`; DomainError unless nine ints in [0, 65535]."""
-    try:
-        return _COEFFS.pack(*coeffs)
-    except struct.error as exc:
-        raise DomainError(f"cannot pack {N_COEFFS} 16-bit coefficients: {exc}") from None
+    if len(coeffs) != N_COEFFS:
+        raise DomainError(f"need {N_COEFFS} coefficients, got {len(coeffs)}")
+    check_words("coefficient", coeffs)
+    return _COEFFS.pack(*coeffs)
 
 
 def eval_poly(coeffs: Sequence[int], u: int) -> int:
     """Evaluate the polynomial (coefficients highest degree first) at ``u`` by
     Horner's rule on the log/antilog tables; DomainError for values outside [0, 65535]."""
-    if u >> 16:  # below 0 as well as above 65535
-        raise DomainError(f"abscissa {u} must be in [0, {GF_ORDER - 1}]")
-    if coeffs and not 0 <= min(coeffs) <= max(coeffs) < GF_ORDER:
-        raise DomainError(f"coefficients must lie in [0, {GF_ORDER - 1}]")
+    check_int("abscissa u", u, 0, 0xFFFF)
+    check_words("coefficient", coeffs)
     if not u:
         return coeffs[-1] if coeffs else 0
     exp, log = _GF_EXP, _GF_LOG
@@ -348,13 +346,10 @@ def interpolate(points: Sequence[tuple[int, int]]) -> tuple[int, ...]:
     pairwise distinct, and abscissas and ordinates in [0, 65535].
     """
     xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    check_words("interpolation abscissa", xs)
+    check_words("interpolation ordinate", [p[1] for p in points])
     if len(set(xs)) != len(xs):
         raise DomainError("interpolation abscissas must be pairwise distinct")
-    if xs and not 0 <= min(xs) <= max(xs) < GF_ORDER:
-        raise DomainError(f"interpolation abscissas must lie in [0, {GF_ORDER - 1}]")
-    if ys and not 0 <= min(ys) <= max(ys) < GF_ORDER:
-        raise DomainError(f"interpolation ordinates must lie in [0, {GF_ORDER - 1}]")
     return _newton_expand(*_newton_table(points))
 
 
@@ -520,20 +515,16 @@ def generate_chaff(genuine_us: Sequence[int], poly: Sequence[int], count: int,
     taken, or whose ordinate lies on the polynomial, is rejected, and the
     shortfall is drawn again the same way: abscissas stay distinct, a repeat
     loses to its first copy, and no chaff point can pass as genuine.
-    DomainError unless ``count`` is an int >= 0, as in :class:`VaultParams`,
-    the genuine units are distinct ints, not bools, in [0, 65535], and so
-    is every coefficient of ``poly``, which would spill into the abscissa.
+    DomainError unless ``count`` is a :class:`VaultParams` c, and the
+    genuine units and ``poly``, which would spill into the abscissa, are
+    16-bit words, the units distinct.
     """
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise DomainError(f"chaff count must be an int >= 0, not {count!r}")
-    if not set(map(type, poly)) <= {int} or poly and not 0 <= min(poly) <= max(poly) < GF_ORDER:
-        raise DomainError(f"polynomial coefficients must be ints in [0, {GF_ORDER - 1}]")
-    for u in genuine_us:
-        if type(u) is not int:
-            raise DomainError(f"genuine unit {u!r} must be an int, not {type(u).__name__}")
+    check_int("chaff count c", count, 0, 0xFFFF)
+    check_words("polynomial coefficient", poly)
+    check_words("genuine unit", genuine_us)
     used = set(genuine_us)
-    if len(used) != len(genuine_us) or used and not 0 <= min(used) <= max(used) < GF_ORDER:
-        raise DomainError(f"genuine units must be distinct and in [0, {GF_ORDER - 1}]")
+    if len(used) != len(genuine_us):
+        raise DomainError("genuine units must be distinct")
     total = count + len(used)
     if total > GF_ORDER:
         raise DomainError(f"{count} chaff + {len(used)} genuine exceed {GF_ORDER} abscissas")
@@ -642,9 +633,8 @@ def match_candidates(clear: bytes, query_units: Sequence[int],
     x + epsilon, so no shift is negative, and dropping the first epsilon
     rows makes row x one list index.
 
-    Raises DomainError unless epsilon is an int, not a bool, in [0, 255],
-    the range of the vault header's byte, each query unit is an int in
-    [0, 65535], and ``clear`` is bytes-like and holds whole 4-byte records.
+    Raises DomainError unless epsilon is a header byte, each query unit a
+    16-bit word, and ``clear`` bytes-like whole 4-byte records.
     """
     try:
         clear = memoryview(clear).cast("B")
@@ -653,11 +643,7 @@ def match_candidates(clear: bytes, query_units: Sequence[int],
     if len(clear) % POINT_RECORD.size:
         raise DomainError(f"clear region of {len(clear)} bytes is not whole 4-byte records")
     check_int("epsilon", epsilon, 0, 0xFF)
-    if not set(map(type, query_units)) <= {int}:
-        u = next(u for u in query_units if type(u) is not int)
-        raise DomainError(f"query unit {u!r} must be an int, not {type(u).__name__}")
-    if query_units and not 0 <= min(query_units) <= max(query_units) < GF_ORDER:
-        raise DomainError(f"query units must lie in [0, {GF_ORDER - 1}]")
+    check_words("query unit", query_units)
     words = array("H")
     words.frombytes(clear)
     if sys.byteorder == "little":  # the records are big-endian

@@ -306,7 +306,7 @@ class TestSynth:
     def test_negative_count_exits_2(self, tmp_path, capsys):
         out = tmp_path / "negative.txt"
         assert main(["synth", "--out", str(out), "--count", "-1"]) == 2
-        assert "count must be non-negative, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: count=-1 must be in [0, 65536]\n"
         assert not out.exists()
 
 

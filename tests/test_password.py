@@ -1,5 +1,7 @@
 """Combined password construction and derivation tests."""
 
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,7 +44,7 @@ def test_invalid_inputs():
         UserPassword("FUZ")
     with pytest.raises(DomainError, match="non-printable-ASCII"):
         UserPassword("FU\tZY")
-    with pytest.raises(DomainError, match="does not fit in one byte"):
+    with pytest.raises(DomainError, match=r"^height=300 must be in \[0, 255\]$"):
         SoftBiometrics(300, EyeColor.BROWN, "M")
     with pytest.raises(DomainError, match="gender must be"):
         SoftBiometrics(155, EyeColor.BROWN, "X")
@@ -100,6 +102,19 @@ class TestMaskSecret:
     def test_length_checked(self):
         with pytest.raises(DomainError, match="secret must be 16 bytes"):
             mask_secret(bytes(15), FUZZY)
+
+    @pytest.mark.parametrize("secret", ["y" * 16, [0] * 16, 16, None])
+    def test_secret_must_be_bytes_like(self, secret):
+        # A str once raised TypeError from int.from_bytes, and a list of 16
+        # ints was taken as 16 bytes.
+        with pytest.raises(DomainError,
+                           match=f"^secret must be bytes-like, not {type(secret).__name__}$"):
+            mask_secret(secret, FUZZY)
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview, lambda s: array("H", s)])
+    def test_any_bytes_like_secret(self, wrap):
+        secret = bytes(range(16))
+        assert mask_secret(wrap(secret), FUZZY) == mask_secret(secret, FUZZY)
 
     @given(st.binary(min_size=16, max_size=16), raw_passwords)
     def test_involution(self, secret, cp):

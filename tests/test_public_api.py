@@ -101,3 +101,19 @@ def test_no_unused_imports(path):
             imported.update(a.asname or a.name for a in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - read) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_bool_is_refused_only_in_errors(path):
+    # What counts as a legal int is decided once, by errors.check_int and
+    # errors.check_words; a module that asks isinstance(..., bool) itself
+    # has grown a second rule.
+    def names_bool(node):
+        elts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any(isinstance(e, ast.Name) and e.id == "bool" for e in elts)
+
+    calls = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "isinstance" and len(node.args) == 2 and names_bool(node.args[1])]
+    assert [f"line {node.lineno}" for node in calls] == []

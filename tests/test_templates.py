@@ -105,7 +105,7 @@ class TestSynth:
             synth_template(0, 10, 400)
 
     def test_negative_count(self):
-        with pytest.raises(DomainError, match="count must be non-negative, got -1"):
+        with pytest.raises(DomainError, match=r"^count=-1 must be in \[0, 65536\]$"):
             synth_template(0, -1, 4)
 
 

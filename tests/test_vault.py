@@ -154,11 +154,18 @@ class TestSecretCodec:
         with pytest.raises(DomainError, match="payload must be 18 bytes"):
             encode_secret(bytes(17))
 
-    @pytest.mark.parametrize("coeffs", [(1, 2), (0,) * 10, (70000,) * 9, (-1,) + (0,) * 8,
-                                        (1.5,) * 9])
+    NOT_NINE_WORDS = {
+        (1, 2): "need 9 coefficients, got 2",
+        (0,) * 10: "need 9 coefficients, got 10",
+        (70000,) * 9: r"coefficient=70000 must be in \[0, 65535\]",
+        (-1,) + (0,) * 8: r"coefficient=-1 must be in \[0, 65535\]",
+        (1.5,) * 9: "coefficient must be an int, not float",
+    }
+
+    @pytest.mark.parametrize("coeffs", list(NOT_NINE_WORDS))
     def test_decode_not_nine_words(self, coeffs):
         # These once raised struct.error, whose text varies by interpreter.
-        with pytest.raises(DomainError, match=r"^cannot pack 9 16-bit coefficients: "):
+        with pytest.raises(DomainError, match=f"^{self.NOT_NINE_WORDS[coeffs]}$"):
             decode_secret(coeffs)
 
     @given(st.binary(min_size=18, max_size=18))
@@ -183,15 +190,18 @@ class TestEvalPoly:
     @pytest.mark.parametrize("u", [-1, -0x10000, 0x10000, 70000])
     def test_abscissa_outside_the_field(self, u):
         # log[-1] once wrapped: eval_poly((1, 2, 3), -1) gave 59589.
-        with pytest.raises(DomainError, match=rf"^abscissa {u} must be in \[0, 65535\]$"):
+        with pytest.raises(DomainError, match=rf"^abscissa u={u} must be in \[0, 65535\]$"):
             eval_poly((1, 2, 3), u)
 
-    @pytest.mark.parametrize("coeffs", [(70000, 1, 2), (-3, 1, 2), (1, 2, 0x10000), (1, -1)])
+    OUTSIDE_THE_FIELD = {(70000, 1, 2): 70000, (-3, 1, 2): -3, (1, 2, 0x10000): 65536, (1, -1): -1}
+
+    @pytest.mark.parametrize("coeffs", list(OUTSIDE_THE_FIELD))
     @pytest.mark.parametrize("u", [0, 5])
     def test_coefficient_outside_the_field(self, coeffs, u):
         # (70000, 1, 2) once raised IndexError from the log table, and
         # (-3, 1, 2) gave 61507 at 5.
-        with pytest.raises(DomainError, match=r"^coefficients must lie in \[0, 65535\]$"):
+        bad = self.OUTSIDE_THE_FIELD[coeffs]
+        with pytest.raises(DomainError, match=rf"^coefficient={bad} must be in \[0, 65535\]$"):
             eval_poly(coeffs, u)
 
     @pytest.mark.parametrize("u", [0, 1, 5, 0xFFFF])
@@ -269,8 +279,9 @@ class TestLagrange:
     @pytest.mark.parametrize("xs", [[-1, 3], [3, 0x10000], list(range(8)) + [70000]])
     def test_abscissa_outside_the_field(self, xs):
         # [(-1, 2), (3, 4)] once gave a polynomial, through log[-1].
+        bad = xs[0] if xs[0] < 0 else xs[-1]
         with pytest.raises(DomainError,
-                           match=r"^interpolation abscissas must lie in \[0, 65535\]$"):
+                           match=rf"^interpolation abscissa={bad} must be in \[0, 65535\]$"):
             interpolate([(x, 2) for x in xs])
 
     @pytest.mark.parametrize("points", [[(1, 70000), (3, 4)], [(1, -5), (3, 4)],
@@ -278,8 +289,9 @@ class TestLagrange:
     def test_ordinate_outside_the_field(self, points):
         # [(1, 70000), (3, 4)] once raised IndexError from the log table,
         # and [(1, -5), (3, 4)] gave (63482, -63487).
+        [bad] = [y for _, y in points if not 0 <= y <= 0xFFFF]
         with pytest.raises(DomainError,
-                           match=r"^interpolation ordinates must lie in \[0, 65535\]$"):
+                           match=rf"^interpolation ordinate={bad} must be in \[0, 65535\]$"):
             interpolate(points)
 
 
@@ -459,25 +471,40 @@ class TestChaff:
         with pytest.raises(DomainError, match="exceed 65536 abscissas"):
             generate_chaff(list(range(100)), poly, 65537 - 100, random.Random(0))
 
-    @pytest.mark.parametrize("count", [-3, 2.0, True, None])
+    NOT_A_COUNT = {
+        -3: r"chaff count c=-3 must be in \[0, 65535\]",
+        2.0: "chaff count c must be an int, not float",
+        True: "chaff count c must be an int, not bool",
+        None: "chaff count c must be an int, not NoneType",
+    }
+
+    @pytest.mark.parametrize("count", list(NOT_A_COUNT))
     def test_count_must_be_an_int_at_least_zero(self, count):
         poly = encode_secret(bytes(18))
-        with pytest.raises(DomainError, match=r"^chaff count must be an int >= 0, not "):
+        with pytest.raises(DomainError, match=f"^{self.NOT_A_COUNT[count]}$"):
             generate_chaff([], poly, count, random.Random(0))
 
-    @pytest.mark.parametrize("genuine", [[5, 5], [3, 9, 3], [-1], [65536], [7, 0x10000 + 7]])
+    NOT_DISTINCT_WORDS = {
+        (5, 5): "genuine units must be distinct",
+        (3, 9, 3): "genuine units must be distinct",
+        (-1,): r"genuine unit=-1 must be in \[0, 65535\]",
+        (65536,): r"genuine unit=65536 must be in \[0, 65535\]",
+        (7, 0x10000 + 7): r"genuine unit=65543 must be in \[0, 65535\]",
+    }
+
+    @pytest.mark.parametrize("genuine", [list(units) for units in NOT_DISTINCT_WORDS])
     def test_genuine_units_must_be_distinct_and_16_bit(self, genuine):
         # Evaluated and emitted as records, a repeat would give two points
         # one abscissa, and a unit past 16 bits would spill into another
         # record's half; a unit 0x10000 + u also aliases u in a record.
         poly = encode_secret(bytes(18))
-        with pytest.raises(DomainError, match=r"^genuine units must be distinct and in \[0, 65535\]$"):
+        with pytest.raises(DomainError, match=f"^{self.NOT_DISTINCT_WORDS[tuple(genuine)]}$"):
             generate_chaff(genuine, poly, 3, Scripted([]))
 
     @pytest.mark.parametrize("genuine, message", [
-        ([5.0], "genuine unit 5.0 must be an int, not float"),
-        ([True], "genuine unit True must be an int, not bool"),
-        ([3, 9, False], "genuine unit False must be an int, not bool"),
+        ([5.0], "genuine unit must be an int, not float"),
+        ([True], "genuine unit must be an int, not bool"),
+        ([3, 9, False], "genuine unit must be an int, not bool"),
     ])
     def test_genuine_units_must_be_ints(self, genuine, message):
         # As in VaultParams: a float once raised TypeError from the table
@@ -486,15 +513,21 @@ class TestChaff:
         with pytest.raises(DomainError, match=f"^{message}$"):
             generate_chaff(genuine, poly, 0, Scripted([]))
 
-    @pytest.mark.parametrize("poly", [
-        (1, 2, 3, 4, 5, 6, 7, 8, 70000), (0x10000,), (-1, 2), (1, True, 3), (1, 2.0), (None,),
-    ])
+    NOT_WORDS = {
+        (1, 2, 3, 4, 5, 6, 7, 8, 70000): r"=70000 must be in \[0, 65535\]",
+        (0x10000,): r"=65536 must be in \[0, 65535\]",
+        (-1, 2): r"=-1 must be in \[0, 65535\]",
+        (1, True, 3): " must be an int, not bool",
+        (1, 2.0): " must be an int, not float",
+        (None,): " must be an int, not NoneType",
+    }
+
+    @pytest.mark.parametrize("poly", list(NOT_WORDS))
     def test_polynomial_coefficients_must_be_16_bit_ints(self, poly):
         # A coefficient past 16 bits once spilled into the record's abscissa
         # half: with the first poly below, unit 2's record read back as
         # abscissa 3, and the call returned [70008, 201052, ...].
-        with pytest.raises(DomainError, match=r"^polynomial coefficients must be ints "
-                                              r"in \[0, 65535\]$"):
+        with pytest.raises(DomainError, match=f"^polynomial coefficient{self.NOT_WORDS[poly]}$"):
             generate_chaff([1, 2], poly, 3, random.Random(0))
 
 
@@ -538,6 +571,12 @@ class TestBuildVault:
         poly = encode_secret(payload)
         on_curve = sum(1 for a, b in points if eval_poly(poly, a) == b)
         assert on_curve == 20
+
+    def test_secret_must_be_bytes_like(self):
+        # Once a bare TypeError from int.from_bytes in mask_secret.
+        template = synth_template(0, 20, 4)
+        with pytest.raises(DomainError, match="^secret must be bytes-like, not str$"):
+            build_vault(template, "x" * 16, FUZZY, rng=random.Random(0))
 
     def test_insufficient_template(self):
         template = synth_template(0, 5, 4)
@@ -720,8 +759,8 @@ class TestMatchCandidates:
     @pytest.mark.parametrize("query, epsilon, message", [
         ([unit(3, 3)], float("inf"), "epsilon must be an int, not float"),
         ([unit(3, 3)], float("nan"), "epsilon must be an int, not float"),
-        ([-1], 2, r"query units must lie in \[0, 65535\]"),
-        ([unit(3, 3), 65536], 2, r"query units must lie in \[0, 65535\]"),
+        ([-1], 2, r"query unit=-1 must be in \[0, 65535\]"),
+        ([unit(3, 3), 65536], 2, r"query unit=65536 must be in \[0, 65535\]"),
         ([unit(3, 3)], -2, r"epsilon=-2 must be in \[0, 255\]"),
         ([unit(3, 3)], -0.5, "epsilon must be an int, not float"),
         ([unit(3, 3)], -0.0, "epsilon must be an int, not float"),
@@ -729,14 +768,14 @@ class TestMatchCandidates:
         ([unit(3, 3)], True, "epsilon must be an int, not bool"),
         ([unit(3, 3)], 256, r"epsilon=256 must be in \[0, 255\]"),
         # A unit that is not an int once raised TypeError from u >> 8.
-        ([1.5], 2, "query unit 1.5 must be an int, not float"),
+        ([1.5], 2, "query unit must be an int, not float"),
         # At epsilon 0 the set lookup once took 3.0 as unit 3, and True
         # passed as unit 1 at epsilon 0 and 2 alike.
-        ([3.0], 0, "query unit 3.0 must be an int, not float"),
-        ([True], 0, "query unit True must be an int, not bool"),
-        ([True], 2, "query unit True must be an int, not bool"),
-        ([unit(3, 3), False], 2, "query unit False must be an int, not bool"),
-        ([unit(3, 3), "7"], 0, "query unit '7' must be an int, not str"),
+        ([3.0], 0, "query unit must be an int, not float"),
+        ([True], 0, "query unit must be an int, not bool"),
+        ([True], 2, "query unit must be an int, not bool"),
+        ([unit(3, 3), False], 2, "query unit must be an int, not bool"),
+        ([unit(3, 3), "7"], 0, "query unit must be an int, not str"),
     ])
     def test_domain(self, query, epsilon, message):
         # Unit -1 decodes to (-1, 255), off the grid; a unit further below 0
