@@ -33,8 +33,8 @@ class UnlockError(IrisVaultError):
 
 
 def check_int(name: str, value: object, lo: int, hi: int) -> None:
-    """DomainError naming ``name`` unless ``value`` is an int, not a bool, in [lo, hi]."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """DomainError naming ``name`` unless ``value`` is an int, not a subclass, in [lo, hi]."""
+    if type(value) is not int:
         raise DomainError(f"{name} must be an int, not {type(value).__name__}")
     if not lo <= value <= hi:
         raise DomainError(f"{name}={value} must be in [{lo}, {hi}]")

@@ -66,7 +66,7 @@ def prune_close(points: Sequence[MinutiaPoint], d: int) -> Template:
     one; at 0 all survive.  Each point is tested only against the survivors
     in its x-strip and the two beside it, strips d wide: a closer pair
     differs in x by less than d.  DomainError unless d is an int, not a
-    bool, in [0, 255], the range of the vault header's byte.
+    subclass, in [0, 255], the range of the vault header's byte.
     """
     check_int("pruning distance d", d, 0, 0xFF)
     if not d:

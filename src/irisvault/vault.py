@@ -50,14 +50,16 @@ table's one-point extension, 0 exactly where h agrees, so h is expanded into
 coefficients only when it is returned.  A decode is accepted only when the
 polynomial agrees with at least ceil((m + 9) / 2) of all m candidates and its
 payload passes the CRC.  Within that radius the polynomial is unique, so the
-candidates' order does not matter.  At epsilon > 0 a maximal set of disjoint
-pairs closer than d, chosen greedily in abscissa order, is dropped before
-decoding: lock units are pruned at d and no chaff lies on the polynomial, so a
-pair holds at most one genuine point, and dropping it costs the enrolled
-polynomial one agreement of the two more the radius would ask.  The decoder
-runs on the conflict-free rest, the core, and counts the dropped points only
-toward the agreement; with fewer than nine left, only a polynomial through
-both points of a pair could pass, so none is sought.
+candidates' order does not matter.  Before decoding, at every epsilon, one
+pass drops each copy of a repeated abscissa, which only a wrong key decrypts,
+then a maximal set of disjoint pairs closer than d, chosen greedily in
+abscissa order: lock units are pruned at d and no chaff lies on the
+polynomial, so a pair holds at most one genuine point, and dropping it costs
+the enrolled polynomial one agreement of the two more the radius would ask.
+At epsilon 0 every candidate left is a query unit, pruned at d, so none
+pairs.  The decoder runs on the conflict-free rest, the core, and counts the
+pairs only toward the agreement; with fewer than nine left, only a polynomial
+through both points of a pair could pass, so none is sought.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import random
 import struct
 import sys
 from array import array
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import cache
 from itertools import chain, compress
@@ -114,7 +116,7 @@ _PARAM_RANGES = (
 class VaultParams(namedtuple("VaultParams", "r c d epsilon")):
     """Vault shape: genuine count r, chaff count c, pruning distance d, and
     the match tolerance epsilon (0 = exact lock units), each an int, not a
-    bool, in the range of its header field, or DomainError names the field;
+    subclass, in the range of its header field, or DomainError names the field;
     r + c, one abscissa per point, is at most GF_ORDER.  The polynomial
     degree is fixed at POLY_DEGREE."""
 
@@ -239,10 +241,10 @@ def eval_poly(coeffs: Sequence[int], u: int) -> int:
 
 
 # Fewer abscissas than this are cheaper through eval_poly one at a time: on
-# CPython 3.11, with one multiplication per lane term, the kernel breaks even
-# between 28 and 32.  It also needs at least two: itemgetter with one key
-# returns the item itself, not a one-element tuple.
-_LANES_MIN = 32
+# CPython 3.11.7 on a shared 2-vCPU host, with nine coefficients, the kernel
+# breaks even between 10 and 11 (26 us either way, best of 7 x 2000).  It also
+# needs at least two: itemgetter with one key returns the item itself.
+_LANES_MIN = 11
 
 
 # A 1 in each of 2**i 32-bit lanes, to double a table of 2**i lanes.
@@ -403,9 +405,10 @@ def _rs_decode(candidates: Sequence[tuple[int, int]],
     or None when the m candidates do not find it: the ``spare`` points only
     count toward that agreement.
 
-    Abscissas must be pairwise distinct and m at least nine.  Within that
-    agreement the polynomial is unique (two distinct ones share at most
-    eight points), so the answer does not depend on the candidates' order.
+    Abscissas are pairwise distinct across ``candidates`` and ``spare``, as
+    :func:`_drop_close_pairs`, which makes both, guarantees; m is at least
+    nine.  Within that agreement the polynomial is unique (two distinct ones
+    share at most eight points), so the candidates' order does not matter.
     The interpolant h of the first nine settles a set whose errors are all
     past them without Euclid: the later candidates, then the spare ones,
     are counted on h, while it lacks the agreement, by their residues
@@ -472,35 +475,40 @@ def _rs_decode(candidates: Sequence[tuple[int, int]],
 def _drop_close_pairs(candidates: list[tuple[int, int]],
                       d: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The candidates, sorted by abscissa, split into a core and the spare
-    pairs: each candidate not yet dropped, in abscissa order, is paired
-    with the first later one not yet dropped whose point lies closer than
-    ``d``, and both are dropped.  The pairs are disjoint and maximal, so no
-    two core candidates are closer than d; the core keeps abscissa order and
-    the spare holds the pairs in the order found.  A candidate is compared
-    only with the later ones fewer than d << 8 abscissas on, which holds
-    every one fewer than d columns on."""
+    pairs.  Every copy of a repeated abscissa, adjacent in that order, goes
+    first; then each candidate left and not yet paired, in abscissa order,
+    is paired with the first later one not yet paired whose point lies
+    closer than ``d``.  The pairs are disjoint and maximal, so no two core
+    candidates are closer than d, and no abscissa occurs twice in core and
+    spare; the core keeps abscissa order and the spare holds the pairs in
+    the order found.  A candidate is compared only with the later ones fewer
+    than d << 8 abscissas on, which holds every one fewer than d columns on."""
+    xs = [p[0] for p in candidates]
+    if len(set(xs)) < len(xs):  # which only a wrong key decrypts
+        xs = [-1, *xs, -1]
+        candidates = [p for p, lo, a, hi in zip(candidates, xs, xs[1:], xs[2:]) if lo != a != hi]
     reach, far = d << 8, d * d
     m = len(candidates)
     spare: list[tuple[int, int]] = []
-    dropped = set()
+    dropped = set()  # abscissas, each now naming one candidate
     for j, p in enumerate(candidates, 1):
-        if p in dropped:
-            continue
         a = p[0]
+        if a in dropped:
+            continue
         while j < m:
             o = candidates[j]
             b = o[0]
             if b - a >= reach:  # and so is every later one
                 break
             dx, dy = (b >> 8) - (a >> 8), (b & 0xFF) - (a & 0xFF)
-            if dx * dx + dy * dy < far and o not in dropped:
-                dropped.update((p, o))
+            if dx * dx + dy * dy < far and b not in dropped:
+                dropped.update((a, b))
                 spare += (p, o)
                 break
             j += 1
     if not spare:
         return candidates, spare
-    return [p for p in candidates if p not in dropped], spare
+    return [p for p in candidates if p[0] not in dropped], spare
 
 
 def generate_chaff(genuine_us: Sequence[int], poly: Sequence[int], count: int,
@@ -674,22 +682,22 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
     The query's lock units are derived with the vault's own r and d and
     matched within its epsilon, or within ``epsilon`` when one is given:
     a new :class:`VaultParams` of the vault's r, c and d carries it, and
-    checks it like the stored one.  Candidates whose abscissa occurs more
-    than once are dropped (a correct key never decrypts two points to one
-    abscissa), and the rest are decoded once as a Reed-Solomon code.  At
-    epsilon > 0, :func:`_drop_close_pairs` first takes out disjoint pairs
-    closer than d, which cannot both be genuine, and :func:`_rs_decode`
-    runs on the rest with them as spare points.  The secret is returned
+    checks it like the stored one.  At every epsilon :func:`_drop_close_pairs`
+    drops each candidate whose abscissa repeats (a correct key never
+    decrypts two points to one abscissa) and pairs off those closer than d,
+    which cannot both be genuine; at epsilon 0 every candidate left is a
+    query unit, pruned at d, so none pairs.  :func:`_rs_decode` runs once
+    on the rest, with the pairs as spare points.  The secret is returned
     only when the decoded polynomial agrees with at least ceil((m + 9) / 2)
-    of all m candidates, dropped ones included, and its payload passes the
-    CRC, so up to floor((m - 9) / 2) matched chaff points are tolerated.
+    of the m candidates left, paired ones included, and its payload passes
+    the CRC, so up to floor((m - 9) / 2) matched chaff points are tolerated.
     ``max_combinations`` caps the decode attempts; the decoder makes one,
     so only a cap of 0 or less stops it.
 
     Raises DomainError for an ``epsilon`` that is not an int in [0, 255], and
     for a query point that is not a pair of ints on the 256x256 grid.
     Raises UnlockError, with a message naming the case, when fewer than nine
-    candidates remain, before or after the close pairs are dropped, when
+    candidates are left unpaired, with the count of each kind dropped, when
     the cap allows no attempt, and when the decode or the checksum fails.
     """
     params = vault.params
@@ -697,29 +705,19 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
         params = VaultParams(params.r, params.c, params.d, epsilon)
     clear = decrypt_vault(vault, cp)
     candidates = match_candidates(clear, _template_units(query, cp, params), params.epsilon)
-    abscissas = [p[0] for p in candidates]
-    if len(set(abscissas)) < len(abscissas):
-        seen = Counter(abscissas)
-        candidates = [p for p in candidates if seen[p[0]] == 1]
-    if len(candidates) < N_COEFFS:
+    core, spare = _drop_close_pairs(candidates, params.d)
+    if len(core) < N_COEFFS:
         raise UnlockError(
-            f"{len(candidates)} candidate points with distinct abscissas, "
-            f"need at least {N_COEFFS}"
+            f"{len(core)} of {len(candidates)} candidate points left after dropping "
+            f"{len(candidates) - len(core) - len(spare)} with repeated abscissas and "
+            f"{len(spare)} in pairs closer than d={params.d}, need at least {N_COEFFS}"
         )
     if max_combinations <= 0:
         raise UnlockError(f"decode attempts capped at {max_combinations}")
-    core, spare = candidates, []
-    if params.epsilon:  # at 0 every candidate is a query unit, pruned at d
-        core, spare = _drop_close_pairs(candidates, params.d)
-        if len(core) < N_COEFFS:
-            raise UnlockError(
-                f"{len(core)} candidate points left after dropping {len(spare)} in pairs "
-                f"closer than d={params.d}, need at least {N_COEFFS}"
-            )
     coeffs = _rs_decode(core, spare)
     if coeffs is None:
         raise UnlockError(
-            f"no polynomial agrees with enough of the {len(candidates)} candidate points"
+            f"no polynomial agrees with enough of the {len(core) + len(spare)} candidate points"
         )
     payload = decode_secret(coeffs)
     if not check_crc(payload):

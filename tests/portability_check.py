@@ -77,7 +77,7 @@ def golden_digests() -> bool:
 # SHA-256 of _rs_decode's answers on decoder_cases(400), as computed when Gao's
 # algorithm still ran on all m candidates: the residual form must not move one.
 GOLDEN_DECODES = "2fc1c9ae9721e7b1d639ca7239d8ba6b4e946f7b024dc6f7b092d84783140ada"
-# The same over core_decode at d = 4, the decode open_vault makes at epsilon > 0,
+# The same over core_decode at d = 4, the decode open_vault makes at any epsilon,
 # and at d = 2, where 113 of the sets decode with spare points, against 60 at 4.
 GOLDEN_CORE_DECODES = "97bf2fa8cfcad7c1cd0a5be6ff8b069b7ea737b12d82f3dec5ff5e13b29ad84e"
 GOLDEN_CORE_DECODES_D2 = "36614a084e31de3acbd4f93e646e6b3992b2463ee0e8a600382e5a53fed90dec"
@@ -102,7 +102,7 @@ def decoder_cases(count: int):
 
 
 def core_decode(points, d: int, decode=_rs_decode):
-    """open_vault's decode at epsilon > 0: the candidates sorted, close
+    """open_vault's decode at any epsilon: the candidates sorted, close
     pairs dropped at ``d``, and the core decoded with the dropped ones as
     spare, or None when fewer than nine are left."""
     core, spare = _drop_close_pairs(sorted(points), d)

@@ -1,12 +1,14 @@
 """The two input rules of irisvault.errors, and every public entry that
 takes an int or 16-bit words held to them.
 
-check_int decides what a legal int is: an int, not a bool, in a range.
+check_int decides what a legal int is: an int itself, not a bool or any
+other int subclass, in a range.
 check_words applies it to a sequence of GF(2^16) words, with a C-level
 pass in front that must not change which input fails or how.
 """
 
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -60,11 +62,17 @@ ENTRIES = [
 ]
 
 
+class Level(IntEnum):
+    """An int subclass whose member 9 lies in every entry's range."""
+    NINE = 9
+
+
 def bad_values(lo, hi):
-    """A bool, a float, -1 and the first int past the range, each with the
-    end of its message."""
+    """A bool, an IntEnum member, a float, -1 and the first int past the
+    range, each with the end of its message."""
     bounds = rf"must be in \[{lo}, {hi}\]"
-    return [(True, " must be an int, not bool"), (1.5, " must be an int, not float"),
+    return [(True, " must be an int, not bool"), (Level.NINE, " must be an int, not Level"),
+            (1.5, " must be an int, not float"),
             (-1, f"=-1 {bounds}"), (hi + 1, f"={hi + 1} {bounds}")]
 
 
@@ -76,12 +84,13 @@ CASES = [pytest.param(call, value, f"^{name}{rule}$", id=f"{entry}-{value!r}")
 def test_bad_int_is_a_domain_error_naming_the_argument(call, value, message):
     # eval_poly, interpolate, decode_secret and synth_template once took True
     # as 1, and eval_poly and interpolate raised a bare TypeError for 1.5.
+    # Every entry once took the IntEnum member, and VaultParams stored it.
     with pytest.raises(DomainError, match=message):
         call(value)
 
 
 class Word(int):
-    """An int subclass that is not a bool: check_int takes it, and the
+    """An int subclass that is not a bool: check_int refuses it, and the
     C-level pass of check_words, which wants exact ints, hands it over."""
 
 

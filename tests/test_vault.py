@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -1040,9 +1041,10 @@ def pruned_candidates(draw):
     return coeffs, d, sorted(points.items())
 
 
-class TestConflictsLast:
-    """Conflicts last: the close pairs open_vault drops from the core at
-    epsilon > 0, whose points the decoder counts only after the core's."""
+class TestDropClosePairs:
+    """The one pass open_vault makes before decoding, at every epsilon: it
+    drops every copy of a repeated abscissa, then sets aside the close
+    pairs, whose points the decoder counts only after the core's."""
 
     def test_conflict_free_list_comes_back_unchanged(self):
         points = [(unit(x, (7 * x) % 256), x) for x in range(0, 250, 10)]
@@ -1102,10 +1104,20 @@ class TestConflictsLast:
         points = sorted(data.draw(candidate_sets(max_m=60)))
         if data.draw(st.booleans()):  # crowded into four grid columns
             points = sorted({a & 0x3FF: b for a, b in points}.items())
+        # Some abscissas two or three times, the copies with any ordinate,
+        # as a wrong key decrypts them: every copy goes before pairing.
+        again = data.draw(st.lists(st.sampled_from(points), max_size=6, unique=True))
+        copies = [(a, data.draw(st.integers(0, 0xFFFF)))
+                  for a, _ in again for _ in range(data.draw(st.integers(1, 2)))]
+        points = sorted(points + copies)
+        seen = Counter(a for a, _ in points)
+        lone = [p for p in points if seen[p[0]] == 1]
         d = data.draw(st.integers(0, 16))
         core, spare = _drop_close_pairs(points, d)
-        assert (core, spare) == drop_close_pairs_oracle(points, d)
-        assert sorted(core + spare) == points and core == sorted(core)
+        assert (core, spare) == drop_close_pairs_oracle(lone, d)
+        assert sorted(core + spare) == lone and core == sorted(core)
+        abscissas = [a for a, _ in core + spare]
+        assert len(set(abscissas)) == len(abscissas)
 
         def close(p, q):
             return ((p[0] >> 8) - (q[0] >> 8)) ** 2 + ((p[0] & 0xFF) - (q[0] & 0xFF)) ** 2 < d * d
@@ -1159,8 +1171,9 @@ class TestConflictsLast:
         points += [(a + 1, eval_poly(poly, a + 1) ^ 1) for a in units[:2]]
         vault = encrypt_vault(VaultParams(r=9, c=2, d=4, epsilon=2), region(points), cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in units]
-        with pytest.raises(UnlockError, match=r"^7 candidate points left after dropping 4 in "
-                                              r"pairs closer than d=4, need at least 9$"):
+        with pytest.raises(UnlockError, match=r"^7 of 11 candidate points left after dropping 0 "
+                                              r"with repeated abscissas and 4 in pairs closer "
+                                              r"than d=4, need at least 9$"):
             open_vault(vault, query, cp)
 
 
@@ -1181,7 +1194,9 @@ class TestOpenVault:
 
     def test_small_query_insufficient_candidates(self):
         template, vault = make_vault(12)
-        with pytest.raises(UnlockError, match="candidate points with distinct abscissas"):
+        with pytest.raises(UnlockError, match=r"^8 of 8 candidate points left after dropping 0 "
+                                              r"with repeated abscissas and 0 in pairs closer "
+                                              r"than d=4, need at least 9$"):
             open_vault(vault, template[:8], FUZZY)
 
     def test_search_cap(self):
@@ -1236,8 +1251,10 @@ class TestOpenVault:
         params = VaultParams(r=20, c=0, d=0, epsilon=0)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
         assert open_vault(encrypt_vault(params, region(points), cp), query, cp) == SECRET
-        # Without the first two points, dropping the pair leaves eight.
-        with pytest.raises(UnlockError, match="candidate points with distinct abscissas"):
+        # Without the first two points, dropping both copies leaves eight.
+        with pytest.raises(UnlockError, match=r"^8 of 10 candidate points left after dropping 2 "
+                                              r"with repeated abscissas and 0 in pairs closer "
+                                              r"than d=0, need at least 9$"):
             open_vault(encrypt_vault(params, region(points[2:]), cp), query, cp)
 
     def test_edited_header_decrypts_to_noise(self):
