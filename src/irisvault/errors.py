@@ -7,8 +7,8 @@ decode that came up empty.  The message says which check failed.  The CLI
 maps ``UnlockError`` to exit code 1 (authentication failure) and every
 other error to exit code 2 (bad input or parameters).
 
-Every int taken from outside passes one of two rules, written once here:
-:func:`check_int` for one value in a range, :func:`check_words` for 16-bit words.
+Each int or byte string taken from outside passes one of three rules, written
+once here: :func:`check_int`, :func:`check_words` for 16-bit words, :func:`check_bytes`.
 """
 
 from collections.abc import Sequence
@@ -47,3 +47,16 @@ def check_words(name: str, values: Sequence[object]) -> None:
             or values and not 0 <= min(values) <= max(values) <= 0xFFFF):
         for value in values:
             check_int(name, value, 0, 0xFFFF)
+
+
+def check_bytes(name: str, value: object, size: int | None = None) -> bytes | memoryview:
+    """``value`` itself if ``bytes``, else its buffer cast to bytes, so lengths count
+    bytes; DomainError naming ``name`` unless bytes-like and, given ``size``, that long."""
+    if type(value) is not bytes:
+        try:
+            value = memoryview(value).cast("B")
+        except TypeError:
+            raise DomainError(f"{name} must be bytes-like, not {type(value).__name__}") from None
+    if size is not None and len(value) != size:
+        raise DomainError(f"{name} must be {size} bytes, got {len(value)}")
+    return value

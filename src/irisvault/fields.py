@@ -26,7 +26,7 @@ import os
 import sys
 from array import array
 
-from .errors import DomainError
+from .errors import DomainError, check_bytes
 
 GF_ORDER = 1 << 16
 
@@ -86,9 +86,10 @@ _CRC_TABLE = _build_crc_table()
 
 
 def crc16(data: bytes) -> int:
-    """MSB-first CRC over ``data``, bytes consumed in order."""
+    """MSB-first CRC over bytes-like ``data``, bytes consumed in order."""
+    data = check_bytes("crc16 data", data)
     if len(data) == 0:
-        raise DomainError("crc16 needs at least one byte")
+        raise DomainError("crc16 data must hold at least one byte")
     reg = 0
     for byte in data:
         reg = ((reg << 8) & 0xFFFF) ^ _CRC_TABLE[(reg >> 8) ^ byte]
@@ -97,10 +98,8 @@ def crc16(data: bytes) -> int:
 
 def append_crc(secret: bytes) -> bytes:
     """Append the big-endian CRC of a 16-byte secret, yielding 18 bytes."""
-    if len(secret) != SECRET_BYTES:
-        raise DomainError(f"secret must be {SECRET_BYTES} bytes, got {len(secret)}")
-    check = crc16(secret)
-    return secret + bytes((check >> 8, check & 0xFF))
+    secret = bytes(check_bytes("secret", secret, SECRET_BYTES))
+    return secret + crc16(secret).to_bytes(2, "big")
 
 
 def check_crc(payload: bytes) -> bool:
@@ -109,6 +108,4 @@ def check_crc(payload: bytes) -> bool:
     A zero remainder over message-plus-checksum means the checksum is
     consistent with the message, i.e. the payload is intact.
     """
-    if len(payload) != PAYLOAD_BYTES:
-        raise DomainError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
-    return crc16(payload) == 0
+    return crc16(check_bytes("payload", payload, PAYLOAD_BYTES)) == 0

@@ -10,12 +10,14 @@ per-quadrant template translation; whole, it masks the vault secret, and
 from __future__ import annotations
 
 import enum
+import struct
 from collections import namedtuple
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_bytes, check_int
 
 USER_PASSWORD_LEN = 5
 COMBINED_LEN = 8
+_BLOCK_WORDS = struct.Struct(">4H")  # a combined password as four 16-bit blocks
 
 
 class EyeColor(enum.Enum):
@@ -71,18 +73,13 @@ class UserPassword(namedtuple("UserPassword", "chars")):
 
 
 class CombinedPassword(namedtuple("CombinedPassword", "data")):
-    """The 8-byte concatenation of soft-biometric and user password bytes."""
+    """The 8-byte concatenation of soft-biometric and user password bytes,
+    given as any bytes-like value and stored as ``bytes``."""
 
     __slots__ = ()
 
     def __new__(cls, data: bytes) -> CombinedPassword:
-        if not isinstance(data, bytes):
-            raise DomainError(f"combined password must be bytes, not {type(data).__name__}")
-        if len(data) != COMBINED_LEN:
-            raise DomainError(
-                f"combined password must be {COMBINED_LEN} bytes, got {len(data)}"
-            )
-        return super().__new__(cls, data)
+        return super().__new__(cls, bytes(check_bytes("combined password", data, COMBINED_LEN)))
 
 
 class TranslationBlock(namedtuple("TranslationBlock", "tu tv")):
@@ -104,23 +101,15 @@ def derive_blocks(cp: CombinedPassword) -> list[TranslationBlock]:
     the horizontal translation and the low 9 bits the vertical one.  Block i
     is assigned to quadrant i.
     """
-    blocks = []
-    for i in range(4):
-        word = (cp.data[2 * i] << 8) | cp.data[2 * i + 1]
-        # Built as VaultParams.__new__ does: TranslationBlock checks nothing.
-        blocks.append(tuple.__new__(TranslationBlock, (word >> 9, word & 0x1FF)))
-    return blocks
+    # Built as VaultParams.__new__ does: TranslationBlock checks nothing.
+    return [tuple.__new__(TranslationBlock, (word >> 9, word & 0x1FF))
+            for word in _BLOCK_WORDS.unpack(cp.data)]
 
 
 def mask_secret(secret: bytes, cp: CombinedPassword) -> bytes:
     """Xor a 16-byte secret, of any bytes-like type, with the password
     repeated twice; DomainError otherwise.  Involutive: masking a masked
     secret restores the original."""
-    try:
-        secret = memoryview(secret).cast("B")
-    except TypeError:
-        raise DomainError(f"secret must be bytes-like, not {type(secret).__name__}") from None
-    if len(secret) != 16:
-        raise DomainError(f"secret must be 16 bytes, got {len(secret)}")
+    secret = check_bytes("secret", secret, 16)
     pad = int.from_bytes(cp.data * 2, "big")
     return (int.from_bytes(secret, "big") ^ pad).to_bytes(16, "big")

@@ -9,6 +9,7 @@ space.  The vault file frame lives in :mod:`irisvault.vault`.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import DomainError, check_int
@@ -47,12 +48,14 @@ def write_template(points: Template) -> str:
 def synth_template(seed: int, count: int, min_dist: float) -> Template:
     """``count`` seeded random points, pairwise at least ``min_dist`` apart.
 
-    Rejection-samples the grid; gives up with DomainError once a single
-    point burns through 10,000 rejected draws, which in practice means the
-    (count, min_dist) combination does not fit, and for a ``count`` that
-    is not an int from 0 to the grid's 65536 cells.
+    Rejection-samples the grid; DomainError once a single point burns
+    through 10,000 rejected draws, which in practice means (count, min_dist)
+    does not fit, and before any draw for a ``count`` other than an int in
+    [0, 65536] or a ``min_dist`` other than a finite int or float >= 0.
     """
     check_int("count", count, 0, GRID_SIZE * GRID_SIZE)
+    if type(min_dist) not in (int, float) or not 0 <= min_dist < math.inf:
+        raise DomainError(f"min_dist must be a finite int or float >= 0, got {min_dist!r}")
     rng = random.Random(seed)
     threshold = min_dist * min_dist
     points: Template = []

@@ -75,7 +75,7 @@ from itertools import chain, compress
 from math import isqrt
 from operator import itemgetter, ne, xor
 
-from .errors import DomainError, UnlockError, check_int, check_words
+from .errors import DomainError, UnlockError, check_bytes, check_int, check_words
 from .fields import (
     _GF_EXP,
     _GF_LOG,
@@ -166,10 +166,11 @@ def write_vault(vault: Vault) -> bytes:
 
 
 def read_vault(data: bytes) -> Vault:
-    """Check a frame and return it as a :class:`Vault` holding the point
-    region as stored, copied to ``bytes`` and not parsed.  Nonzero reserved
-    bytes are a DomainError, as is every other malformed frame, so every
-    accepted frame is what write_vault gives back."""
+    """Check a bytes-like frame and return it as a :class:`Vault` holding the
+    point region as stored, copied to ``bytes`` and not parsed.  Nonzero
+    reserved bytes are a DomainError, as is every other malformed frame, its
+    length counted in bytes, so every accepted frame is what write_vault gives back."""
+    data = check_bytes("vault stream", data)
     if len(data) < VAULT_HEADER.size:
         raise DomainError(f"stream of {len(data)} bytes is shorter than the header")
     magic, version, n, r, c, d, epsilon, reserved = VAULT_HEADER.unpack_from(data)
@@ -210,11 +211,9 @@ _COEFFS = struct.Struct(f">{N_COEFFS}H")
 
 
 def encode_secret(payload: bytes) -> tuple[int, ...]:
-    """Split an 18-byte payload into nine big-endian 16-bit coefficients,
-    highest degree first: the first segment becomes the degree-8 one."""
-    if len(payload) != PAYLOAD_BYTES:
-        raise DomainError(f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}")
-    return _COEFFS.unpack(payload)
+    """Split an 18-byte payload, of any bytes-like type, into nine big-endian
+    16-bit coefficients, highest degree first: the first segment becomes the degree-8 one."""
+    return _COEFFS.unpack(check_bytes("payload", payload, PAYLOAD_BYTES))
 
 
 def decode_secret(coeffs: Sequence[int]) -> bytes:
@@ -575,8 +574,9 @@ def _shake_cipher(records: bytes, header: bytes, cp: CombinedPassword) -> bytes:
 
 
 def encrypt_vault(params: VaultParams, clear: bytes, cp: CombinedPassword) -> Vault:
-    """The stored vault for the clear point region ``clear``: the keystream
-    of its header and ``cp`` xored over it.  Inverse of :func:`decrypt_vault`."""
+    """The stored vault for the bytes-like clear point region ``clear``: the
+    keystream of its header and ``cp`` xored over it.  Inverse of :func:`decrypt_vault`."""
+    clear = check_bytes("clear region", clear)
     return Vault(params, _shake_cipher(clear, vault_header(params), cp))
 
 
@@ -644,10 +644,7 @@ def match_candidates(clear: bytes, query_units: Sequence[int],
     Raises DomainError unless epsilon is a header byte, each query unit a
     16-bit word, and ``clear`` bytes-like whole 4-byte records.
     """
-    try:
-        clear = memoryview(clear).cast("B")
-    except TypeError:
-        raise DomainError(f"clear region must be bytes-like, not {type(clear).__name__}") from None
+    clear = check_bytes("clear region", clear)
     if len(clear) % POINT_RECORD.size:
         raise DomainError(f"clear region of {len(clear)} bytes is not whole 4-byte records")
     check_int("epsilon", epsilon, 0, 0xFF)

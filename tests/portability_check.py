@@ -8,7 +8,9 @@ generator's next draw after each, as
 ``test_templates.py::TestVaultFrame::test_golden_bytes_ifv2`` also does,
 then opens each frame through ``read_vault`` and ``open_vault``, whose
 candidate match is the one place the clear records become host-order
-words, and checks that the all-zero secret comes back.  It compares the
+words, and checks that the all-zero secret comes back, from the frame's
+bytes and from a view of them cast to 16-bit items, whose length
+``read_vault`` must count in bytes.  It compares the
 lane kernel, the chaff draw and the scramble with their references, and
 hashes the Reed-Solomon decoder's answers on a fixed mix of candidate sets,
 as drawn, sorted, and on the core open_vault decodes once close pairs are
@@ -32,7 +34,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from irisvault.errors import UnlockError  # noqa: E402
+from irisvault.errors import DomainError, UnlockError  # noqa: E402
 from irisvault.templates import synth_template  # noqa: E402
 from irisvault.vault import (  # noqa: E402
     VaultParams,
@@ -64,13 +66,15 @@ def golden_digests() -> bool:
         after = rng.getrandbits(64)
         print(f"IFV2 seed {seed}, next draw: "
               f"{'ok' if after == GOLDEN_IFV2_NEXT_DRAW[seed] else f'MISMATCH {after:#x}'}")
-        try:
-            opened = open_vault(read_vault(frame), template, cp)
-        except UnlockError as exc:
-            opened = exc
-        print(f"IFV2 seed {seed}, opened: "
-              f"{'ok' if opened == bytes(16) else f'MISMATCH {opened!r}'}")
-        ok &= got == digest and after == GOLDEN_IFV2_NEXT_DRAW[seed] and opened == bytes(16)
+        ok &= got == digest and after == GOLDEN_IFV2_NEXT_DRAW[seed]
+        for label, data in (("", frame), (" from 16-bit items", memoryview(frame).cast("H"))):
+            try:
+                opened = open_vault(read_vault(data), template, cp)
+            except (DomainError, UnlockError) as exc:
+                opened = exc
+            print(f"IFV2 seed {seed}, opened{label}: "
+                  f"{'ok' if opened == bytes(16) else f'MISMATCH {opened!r}'}")
+            ok &= opened == bytes(16)
     return ok
 
 

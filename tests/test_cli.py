@@ -309,6 +309,14 @@ class TestSynth:
         assert capsys.readouterr().err == "error: count=-1 must be in [0, 65536]\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["1", "2"])
+    def test_nan_spacing_exits_2(self, tmp_path, capsys, count):
+        # Once 10,000 draws before the error at count 2, and a template at 1.
+        out = tmp_path / "nan.txt"
+        assert main(["synth", "--out", str(out), "--count", count, "--min-dist", "nan"]) == 2
+        assert capsys.readouterr().err == "error: min_dist must be a finite int or float >= 0, got nan\n"
+        assert not out.exists()
+
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "t.txt"

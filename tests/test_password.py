@@ -54,6 +54,18 @@ def test_invalid_inputs():
         CombinedPassword(bytes(7))
 
 
+@pytest.mark.parametrize("wrap", [bytearray, memoryview, lambda s: array("H", s)])
+def test_combined_password_stores_any_bytes_like_as_bytes(wrap):
+    # A bytearray was once refused; a mutable buffer is copied, so the
+    # password stays immutable and hashes as the bytes one does.
+    buffer = wrap(FUZZY.data)
+    cp = CombinedPassword(buffer)
+    assert type(cp.data) is bytes and cp == FUZZY and hash(cp) == hash(FUZZY)
+    if isinstance(buffer, bytearray):
+        buffer[0] ^= 1
+        assert cp == FUZZY
+
+
 def test_derive_blocks_known_vectors():
     from vectors import KNOWN_BLOCKS, PASSWORDS
 

@@ -117,3 +117,15 @@ def test_bool_is_refused_only_in_errors(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "isinstance" and len(node.args) == 2 and names_bool(node.args[1])]
     assert [f"line {node.lineno}" for node in calls] == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_memoryview_is_taken_only_in_errors(path):
+    # What counts as bytes-like input, and how its length is counted, is
+    # decided once, by errors.check_bytes; a module that builds a memoryview
+    # itself has grown a second rule.
+    calls = [node for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "memoryview"]
+    assert [f"line {node.lineno}" for node in calls] == []

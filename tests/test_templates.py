@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+import re
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -107,6 +109,21 @@ class TestSynth:
     def test_negative_count(self):
         with pytest.raises(DomainError, match=r"^count=-1 must be in \[0, 65536\]$"):
             synth_template(0, -1, 4)
+
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    @pytest.mark.parametrize("min_dist", [float("nan"), float("inf"), -float("inf"), -4, -0.5,
+                                          True, "4", None, Fraction(4)])
+    def test_bad_spacing_fails_before_any_draw(self, min_dist, count):
+        # NaN and infinity once burned 10,000 draws before failing, a NaN
+        # spacing with one point returned it, and -4 acted as 4.
+        with pytest.raises(DomainError,
+                           match=rf"^min_dist must be a finite int or float >= 0, "
+                                 rf"got {re.escape(repr(min_dist))}$"):
+            synth_template(0, count, min_dist)
+
+    @pytest.mark.parametrize("min_dist", [0, 0.0, 4, 4.5, pytest.param(10**400, id="10**400")])
+    def test_spacing_accepts_finite_ints_and_floats(self, min_dist):
+        assert len(synth_template(0, 1, min_dist)) == 1
 
 
 class TestVaultFrame:

@@ -104,8 +104,8 @@ def test_instances_are_tuples_of_their_fields():
     (lambda: SoftBiometrics("150", EyeColor.BROWN, "M"), "height must be an int, not str"),
     (lambda: SoftBiometrics(True, EyeColor.BROWN, "M"), "height must be an int, not bool"),
     (lambda: UserPassword(b"ABCDE"), "user password must be a str, not bytes"),
-    (lambda: CombinedPassword("12345678"), "combined password must be bytes, not str"),
-    (lambda: CombinedPassword(bytearray(8)), "combined password must be bytes, not bytearray"),
+    (lambda: CombinedPassword("12345678"), "combined password must be bytes-like, not str"),
+    (lambda: CombinedPassword(list(b"12345678")), "combined password must be bytes-like, not list"),
 ])
 def test_wrong_typed_fields_fail_at_construction(build, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
