@@ -90,6 +90,11 @@ def crc16(data: bytes) -> int:
     data = check_bytes("crc16 data", data)
     if len(data) == 0:
         raise DomainError("crc16 data must hold at least one byte")
+    return _crc16(data)
+
+
+def _crc16(data: bytes) -> int:
+    """:func:`crc16` of ``data`` already checked."""
     reg = 0
     for byte in data:
         reg = ((reg << 8) & 0xFFFF) ^ _CRC_TABLE[(reg >> 8) ^ byte]
@@ -99,13 +104,10 @@ def crc16(data: bytes) -> int:
 def append_crc(secret: bytes) -> bytes:
     """Append the big-endian CRC of a 16-byte secret, yielding 18 bytes."""
     secret = bytes(check_bytes("secret", secret, SECRET_BYTES))
-    return secret + crc16(secret).to_bytes(2, "big")
+    return secret + _crc16(secret).to_bytes(2, "big")
 
 
 def check_crc(payload: bytes) -> bool:
-    """True iff the 18-byte payload divides cleanly by the CRC polynomial.
-
-    A zero remainder over message-plus-checksum means the checksum is
-    consistent with the message, i.e. the payload is intact.
-    """
-    return crc16(check_bytes("payload", payload, PAYLOAD_BYTES)) == 0
+    """True iff the 18-byte payload divides cleanly by the CRC polynomial: a
+    zero remainder over message plus checksum means the payload is intact."""
+    return _crc16(check_bytes("payload", payload, PAYLOAD_BYTES)) == 0

@@ -12,6 +12,9 @@ big-endian record a << 16 | b per point, from the chaff draw through the
 cipher and back, and only :func:`match_candidates` reads them as numbers,
 building ``(a, b)`` tuples only for the points it keeps.
 A polynomial is a plain tuple of nine coefficients, highest degree first.
+Lock units are the sorted units of the transformed template pruned at d,
+and only the points with a neighbour closer than d, found by one walk over
+the sorted units, are pruned: no other point is pruned or prunes another.
 
 A vault file is one frame, which :func:`write_vault` writes and
 :func:`read_vault` checks, so that the records stay bit-exact:
@@ -69,7 +72,7 @@ import struct
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from functools import cache
 from itertools import chain, compress
 from math import isqrt
@@ -197,14 +200,39 @@ def read_vault(data: bytes) -> Vault:
     return Vault(params, bytes(data[VAULT_HEADER.size:]))
 
 
+def _close_pairs(units: Sequence[int], d: int) -> Iterator[tuple[int, int]]:
+    """Index pairs i < j, by i then j, of the ascending 16-bit units closer than ``d``, each
+    unit compared only with the later ones fewer than d << 8 on, all fewer than d columns on."""
+    reach, far, m = d << 8, d * d, len(units)
+    for j, a in enumerate(units, 1):
+        i = j - 1
+        while j < m:
+            b = units[j]
+            if b - a >= reach:  # and so is every later one
+                break
+            dx, dy = (b >> 8) - (a >> 8), (b & 0xFF) - (a & 0xFF)
+            if dx * dx + dy * dy < far:
+                yield i, j
+            j += 1
+
+
 def _template_units(template: Template, cp: CombinedPassword, params: VaultParams) -> list[int]:
     """The first r of the sorted, deduplicated 16-bit lock units (x << 8) | y
     of the password-transformed template pruned at d, for enrolment and
     verification alike; fewer when the template yields fewer.
     :func:`transform_template` raises DomainError for a raw point that is
-    not a pair of ints on the 256x256 grid."""
-    ready = prune_close(transform_template(template, derive_blocks(cp)), params.d)
-    return sorted({(x << 8) | y for x, y in ready})[:params.r]
+    not a pair of ints on the 256x256 grid.  Only the points of the units
+    :func:`_close_pairs` finds closer than d to another go through
+    :func:`prune_close`, in template order: the rest are never pruned and
+    prune no other, so the units are those of the whole template pruned."""
+    points = transform_template(template, derive_blocks(cp))
+    units = sorted({(x << 8) | y for x, y in points})
+    near = {units[k] for pair in _close_pairs(units, params.d) for k in pair}
+    if near:
+        kept = prune_close([p for p in points if (p[0] << 8 | p[1]) in near], params.d)
+        near.difference_update((x << 8) | y for x, y in kept)
+        units = [u for u in units if u not in near]
+    return units[:params.r]
 
 
 _COEFFS = struct.Struct(f">{N_COEFFS}H")
@@ -475,39 +503,24 @@ def _drop_close_pairs(candidates: list[tuple[int, int]],
                       d: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The candidates, sorted by abscissa, split into a core and the spare
     pairs.  Every copy of a repeated abscissa, adjacent in that order, goes
-    first; then each candidate left and not yet paired, in abscissa order,
-    is paired with the first later one not yet paired whose point lies
-    closer than ``d``.  The pairs are disjoint and maximal, so no two core
-    candidates are closer than d, and no abscissa occurs twice in core and
-    spare; the core keeps abscissa order and the spare holds the pairs in
-    the order found.  A candidate is compared only with the later ones fewer
-    than d << 8 abscissas on, which holds every one fewer than d columns on."""
+    first; then each pair closer than ``d`` that :func:`_close_pairs`
+    yields is taken when neither candidate is yet paired, so in abscissa
+    order a candidate pairs with the first later one still free.  The pairs
+    are disjoint and maximal, so no two core candidates are closer than d,
+    and no abscissa occurs twice in core and spare; the core keeps abscissa
+    order and the spare holds the pairs in the order taken."""
     xs = [p[0] for p in candidates]
     if len(set(xs)) < len(xs):  # which only a wrong key decrypts
         xs = [-1, *xs, -1]
         candidates = [p for p, lo, a, hi in zip(candidates, xs, xs[1:], xs[2:]) if lo != a != hi]
-    reach, far = d << 8, d * d
-    m = len(candidates)
+        xs = [p[0] for p in candidates]
     spare: list[tuple[int, int]] = []
-    dropped = set()  # abscissas, each now naming one candidate
-    for j, p in enumerate(candidates, 1):
-        a = p[0]
-        if a in dropped:
-            continue
-        while j < m:
-            o = candidates[j]
-            b = o[0]
-            if b - a >= reach:  # and so is every later one
-                break
-            dx, dy = (b >> 8) - (a >> 8), (b & 0xFF) - (a & 0xFF)
-            if dx * dx + dy * dy < far and b not in dropped:
-                dropped.update((a, b))
-                spare += (p, o)
-                break
-            j += 1
-    if not spare:
-        return candidates, spare
-    return [p for p in candidates if p[0] not in dropped], spare
+    paired = set()  # indices into candidates
+    for i, j in _close_pairs(xs, d):
+        if i not in paired and j not in paired:
+            paired.update((i, j))
+            spare += (candidates[i], candidates[j])
+    return [p for i, p in enumerate(candidates) if i not in paired] if spare else candidates, spare
 
 
 def generate_chaff(genuine_us: Sequence[int], poly: Sequence[int], count: int,
@@ -574,9 +587,10 @@ def _shake_cipher(records: bytes, header: bytes, cp: CombinedPassword) -> bytes:
 
 
 def encrypt_vault(params: VaultParams, clear: bytes, cp: CombinedPassword) -> Vault:
-    """The stored vault for the bytes-like clear point region ``clear``: the
-    keystream of its header and ``cp`` xored over it.  Inverse of :func:`decrypt_vault`."""
-    clear = check_bytes("clear region", clear)
+    """The stored vault for the bytes-like clear point region ``clear``, one
+    record per point of ``params`` or DomainError: the keystream of its
+    header and ``cp`` xored over it.  Inverse of :func:`decrypt_vault`."""
+    clear = check_bytes("clear region", clear, POINT_RECORD.size * params.total)
     return Vault(params, _shake_cipher(clear, vault_header(params), cp))
 
 
@@ -682,9 +696,8 @@ def open_vault(vault: Vault, query: Template, cp: CombinedPassword, *,
     checks it like the stored one.  At every epsilon :func:`_drop_close_pairs`
     drops each candidate whose abscissa repeats (a correct key never
     decrypts two points to one abscissa) and pairs off those closer than d,
-    which cannot both be genuine; at epsilon 0 every candidate left is a
-    query unit, pruned at d, so none pairs.  :func:`_rs_decode` runs once
-    on the rest, with the pairs as spare points.  The secret is returned
+    which cannot both be genuine.  :func:`_rs_decode` runs once on the
+    rest, with the pairs as spare points.  The secret is returned
     only when the decoded polynomial agrees with at least ceil((m + 9) / 2)
     of the m candidates left, paired ones included, and its payload passes
     the CRC, so up to floor((m - 9) / 2) matched chaff points are tolerated.

@@ -10,7 +10,7 @@ then opens each frame through ``read_vault`` and ``open_vault``, whose
 candidate match is the one place the clear records become host-order
 words, and checks that the all-zero secret comes back, from the frame's
 bytes and from a view of them cast to 16-bit items, whose length
-``read_vault`` must count in bytes.  It compares the
+``read_vault`` must count in bytes.  It compares the lock units, the
 lane kernel, the chaff draw and the scramble with their references, and
 hashes the Reed-Solomon decoder's answers on a fixed mix of candidate sets,
 as drawn, sorted, and on the core open_vault decodes once close pairs are
@@ -35,13 +35,16 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from irisvault.errors import DomainError, UnlockError  # noqa: E402
+from irisvault.password import CombinedPassword, derive_blocks  # noqa: E402
 from irisvault.templates import synth_template  # noqa: E402
+from irisvault.transform import MinutiaPoint, transform_template  # noqa: E402
 from irisvault.vault import (  # noqa: E402
     VaultParams,
     _drop_close_pairs,
     _eval_poly_many,
     _rs_decode,
     _scramble,
+    _template_units,
     build_vault,
     decode_secret,
     eval_poly,
@@ -51,7 +54,12 @@ from irisvault.vault import (  # noqa: E402
     write_vault,
 )
 
-from oracles import generate_chaff_oracle, rs_decode_residual_oracle  # noqa: E402
+from oracles import (  # noqa: E402
+    generate_chaff_oracle,
+    lock_units_oracle,
+    prune_close_oracle,
+    rs_decode_residual_oracle,
+)
 from vectors import GOLDEN_IFV2, GOLDEN_IFV2_NEXT_DRAW  # noqa: E402
 
 
@@ -151,6 +159,27 @@ def decoder_oracle(count: int) -> bool:
     return ok
 
 
+def lock_units(seeds: int) -> bool:
+    """_template_units against the oracles' prune and lock of the
+    transformed points, under seeded passwords at each d: on sparse
+    templates drawn 4 apart, which the pass mostly leaves unpruned, and on
+    dense ones, drawn with no spacing or crowded into a 16 x 16 corner."""
+    rng = random.Random(23)
+    bad = total = 0
+    for seed in range(seeds):
+        cp = CombinedPassword(rng.randbytes(8))
+        corner = [MinutiaPoint(rng.randrange(16), rng.randrange(16)) for _ in range(30)]
+        for template in (synth_template(seed, 20, 4), synth_template(seed, 60, 0), corner):
+            moved = transform_template(template, derive_blocks(cp))
+            for d in (0, 1, 2, 4, 8, 255):
+                params = VaultParams(r=rng.randint(9, 60), d=d)
+                expect = lock_units_oracle(prune_close_oracle(moved, d), params.r)
+                bad += _template_units(template, cp, params) != expect
+                total += 1
+    print(f"lock units: {total - bad} of {total} templates equal the oracles' prune and lock")
+    return not bad
+
+
 def lane_kernel(cases: int) -> bool:
     rng = random.Random(20)
     bad = 0
@@ -197,6 +226,6 @@ def scramble(seeds: int) -> bool:
 
 if __name__ == "__main__":
     print(sys.version.split()[0])
-    results = [golden_digests(), lane_kernel(3000), chaff_draw(20), scramble(5),
+    results = [golden_digests(), lock_units(100), lane_kernel(3000), chaff_draw(20), scramble(5),
                decoder_digest(400), decoder_oracle(400)]
     sys.exit(0 if all(results) else 1)

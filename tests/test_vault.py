@@ -55,7 +55,7 @@ from oracles import (
     rs_decode_residual_oracle,
 )
 from portability_check import core_decode, decoder_digest
-from vectors import FUZZY, TOKEN
+from vectors import FUZZY, TOKEN, VAULT
 
 coeff_tuples = st.tuples(*[st.integers(0, 0xFFFF)] * 9)
 # Grid coordinates with the edges of the 256 x 256 grid drawn often.
@@ -617,14 +617,17 @@ class TestBuildVault:
         assert vault.records != clear
 
     @given(st.binary(min_size=8, max_size=8),
-           st.integers(9, 0xFFFF).flatmap(lambda r: st.builds(
-               VaultParams, st.just(r), st.integers(0, GF_ORDER - r),
-               st.integers(0, 255), st.integers(0, 255))),
-           st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)), max_size=300))
-    @example(bytes(8), VaultParams(r=21), [(0, 0)] * 221)
-    def test_ifv2_records_are_shake_keystream(self, password, params, pairs):
+           st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF)),
+                    min_size=9, max_size=300).flatmap(lambda pairs: st.tuples(st.builds(
+                        lambda r, d, epsilon: VaultParams(r, len(pairs) - r, d, epsilon),
+                        st.integers(9, len(pairs)), st.integers(0, 255), st.integers(0, 255)),
+                        st.just(pairs))))
+    @example(bytes(8), (VaultParams(r=21), [(0, 0)] * 221))
+    def test_ifv2_records_are_shake_keystream(self, password, case):
         # hashlib's SHAKE-128 comes from OpenSSL where the package's may not,
-        # so this also checks that the two agree.
+        # so this also checks that the two agree.  The params split the
+        # points between r and c: encrypt_vault refuses a region of another size.
+        params, pairs = case
         cp = CombinedPassword(password)
         header = struct.pack(">4sBBHHBBI", b"IFV2", 2, 8, params.r, params.c,
                              params.d, params.epsilon, 0)
@@ -648,8 +651,27 @@ class TestBuildVault:
         assert clear == bytes(x ^ k for x, k in zip(records, stream))
 
 
-@given(st.lists(st.builds(MinutiaPoint, grid, grid), max_size=40),
-       st.binary(min_size=8, max_size=8), st.integers(9, 30), st.integers(0, 255))
+# Templates on the whole grid, or crowded into a 16 x 16 corner, where the
+# prune acts on most of them.
+crowded = st.integers(0, 15)
+templates = st.one_of(st.lists(st.builds(MinutiaPoint, grid, grid), max_size=40),
+                      st.lists(st.builds(MinutiaPoint, crowded, crowded), max_size=40))
+
+
+def points_at(*xys):
+    return [MinutiaPoint(x, y) for x, y in xys]
+
+
+@given(templates, st.binary(min_size=8, max_size=8), st.integers(9, 30),
+       st.one_of(st.integers(0, 8), st.integers(0, 255)))
+# With the zero password, which moves no point: a close pair whose first
+# point in template order sorts second; a chain where (20, 20) prunes
+# (20, 23), which no longer prunes (20, 26); a repeated point with no other
+# close pair, at d = 4 and at d = 0.
+@example(points_at((10, 12), (10, 10), (90, 90)), bytes(8), 9, 4)
+@example(points_at((20, 20), (20, 23), (20, 26)), bytes(8), 9, 4)
+@example(points_at((5, 5), (100, 100), (5, 5)), bytes(8), 9, 4)
+@example(points_at((5, 5), (100, 100), (5, 5)), bytes(8), 9, 0)
 @settings(max_examples=200)
 def test_template_units_compose_transform_prune_and_lock(template, password, r, d):
     cp, params = CombinedPassword(password), VaultParams(r=r, d=d)
@@ -667,6 +689,30 @@ def test_template_units_compose_transform_prune_and_lock(template, password, r, 
             build_vault(template, SECRET, cp, params, random.Random(0))
         assert str(got.value) == (f"insufficient points: template yields {len(units)} "
                                   f"distinct lock units, need {r}")
+
+
+def test_only_points_with_a_close_neighbour_are_pruned(monkeypatch):
+    # The benchmark's enrolment shape: 20 points drawn 4 apart, under
+    # (FUZZY, VAULT, TOKEN)[u % 3], gives prune_close no point.  Under every
+    # password, one of the 300 has a close pair, which the quadrant wrap
+    # makes: prune_close gets those two points and no other.
+    seen = []
+    prune = prune_close
+    monkeypatch.setattr("irisvault.vault.prune_close",
+                        lambda points, d: seen.append(list(points)) or prune(points, d))
+    rotation = (FUZZY, VAULT, TOKEN)
+    for u in range(100):
+        _template_units(synth_template(u, 20, 4), rotation[u % 3], VaultParams())
+    assert sum(map(len, seen)) == 0
+    for u in range(100):
+        for cp in rotation:
+            _template_units(synth_template(u, 20, 4), cp, VaultParams())
+    assert seen == [points_at((247, 127), (247, 128))]
+    template = synth_template(17, 20, 4)
+    units = _template_units(template, VAULT, VaultParams(r=20))
+    assert units == lock_units_oracle(prune(transform_template(
+        template, derive_blocks(VAULT)), 4), 20)
+    assert len(units) == 19
 
 
 class TestMatchCandidates:
@@ -1229,10 +1275,13 @@ class TestOpenVault:
         poly = encode_secret(append_crc(mask_secret(SECRET, cp)))
         records = data.draw(st.lists(
             st.tuples(st.sampled_from(pool), st.one_of(st.none(), st.integers(0, 0xFFFF))),
-            max_size=60))
+            min_size=9, max_size=60))
         points = [(a, eval_poly(poly, a) if b is None else b) for a, b in records]
         epsilon = data.draw(st.sampled_from((0, 1, 3)))
-        vault = encrypt_vault(VaultParams(r=64, c=0, d=0, epsilon=epsilon), region(points), cp)
+        # r counts the records, the size encrypt_vault asks of the region,
+        # and a query of more units is cut to r.
+        params = VaultParams(r=len(points), c=0, d=0, epsilon=epsilon)
+        vault = encrypt_vault(params, region(points), cp)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in data.draw(st.permutations(pool))]
         try:
             secret = open_vault(vault, query, cp)
@@ -1248,14 +1297,15 @@ class TestOpenVault:
         abscissas = [(20 * i + 5) << 8 | (40 * i + 7) % 256 for i in range(11)]
         points = [(a, eval_poly(poly, a)) for a in abscissas]
         points.append((abscissas[3], points[3][1] ^ 1))
-        params = VaultParams(r=20, c=0, d=0, epsilon=0)
+        params = VaultParams(r=12, c=0, d=0, epsilon=0)
         query = [MinutiaPoint(a >> 8, a & 0xFF) for a in abscissas]
         assert open_vault(encrypt_vault(params, region(points), cp), query, cp) == SECRET
-        # Without the first two points, dropping both copies leaves eight.
+        # Without the first two points, dropping both copies leaves eight;
+        # two records no query unit matches keep the region 12 records long.
         with pytest.raises(UnlockError, match=r"^8 of 10 candidate points left after dropping 2 "
                                               r"with repeated abscissas and 0 in pairs closer "
                                               r"than d=0, need at least 9$"):
-            open_vault(encrypt_vault(params, region(points[2:]), cp), query, cp)
+            open_vault(encrypt_vault(params, region(points[2:] + [(0, 0), (1, 0)]), cp), query, cp)
 
     def test_edited_header_decrypts_to_noise(self):
         # Widening the stored epsilon (byte 11) is what would let a jittered
